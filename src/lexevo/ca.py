@@ -24,18 +24,17 @@ identical output.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Literal, Sequence
 
 import numpy as np
-from scipy import sparse
 
+from . import artifacts
 from .corpus import Corpus
 from .errors import DataError, LabelNotFoundError, ValidationError
-from .textpipe import DocTermMatrix, WeightedMatrix, _read_text, _write_text
+from .textpipe import DocTermMatrix, WeightedMatrix, group_sum
 
 __all__ = [
     "SIGN_CONVENTION",
@@ -252,20 +251,17 @@ def aggregate_year_profiles(
     would have a zero profile; such years are omitted with a warning.
     """
     docs = corpus.by_id()
-    counts = sparse.csr_matrix(dtm.counts)
-    by_year: dict[int, np.ndarray] = {}
-    for i, doc_id in enumerate(dtm.rows):
+    row_years: list[int] = []
+    for doc_id in dtm.rows:
         doc = docs.get(doc_id)
         if doc is None:
             raise DataError(f"matrix row {doc_id!r} has no corpus document")
-        row = np.asarray(counts.getrow(i).todense()).ravel().astype(np.float64)
-        if doc.year in by_year:
-            by_year[doc.year] += row
-        else:
-            by_year[doc.year] = row
+        row_years.append(doc.year)
+    years = sorted(set(row_years))
+    slot = {year: i for i, year in enumerate(years)}
+    sums = group_sum(dtm.counts, [slot[y] for y in row_years], len(years))
     out: list[tuple[int, np.ndarray]] = []
-    for year in sorted(by_year):
-        profile = by_year[year]
+    for year, profile in zip(years, sums):
         if profile.sum() <= 0:
             logger.warning("year %d has an all-zero profile; omitted", year)
             continue
@@ -330,7 +326,7 @@ def write_coordinates_tsv(model: CaModel, dest: str | Path | IO[str]) -> None:
         + [f"dim{d + 1}" for d in range(k)]
         + [f"contrib_dim{d + 1}" for d in range(k)]
     )
-    lines = ["\t".join(header) + "\n"]
+    rows = []
     lam2 = model.singular_values[:k] ** 2
     for kind in ("row", "col"):
         labels = model.labels(kind)
@@ -341,8 +337,8 @@ def write_coordinates_tsv(model: CaModel, dest: str | Path | IO[str]) -> None:
             cells = [kind, label, repr(float(masses[i]))]
             cells += [repr(float(c)) for c in coords[i]]
             cells += [repr(float(c)) for c in contribs]
-            lines.append("\t".join(cells) + "\n")
-    _write_text(dest, "".join(lines))
+            rows.append(cells)
+    artifacts.write_tsv(dest, header, rows)
 
 
 def write_model_json(model: CaModel, dest: str | Path | IO[str]) -> None:
@@ -353,22 +349,18 @@ def write_model_json(model: CaModel, dest: str | Path | IO[str]) -> None:
         "inertia_total": model.inertia_total,
         "inertia_shares": [float(v) for v in model.inertia_shares],
     }
-    _write_text(dest, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    artifacts.write_json(dest, payload)
 
 
 def write_year_coords_tsv(
     projections: Sequence[SupplementaryProjection], dest: str | Path | IO[str]
 ) -> None:
-    if projections:
-        k = projections[0].coords.size
-    else:
-        k = 0
-    header = ["label"] + [f"dim{d + 1}" for d in range(k)]
-    lines = ["\t".join(header) + "\n"]
-    for proj in projections:
-        cells = [proj.label] + [repr(float(c)) for c in proj.coords]
-        lines.append("\t".join(cells) + "\n")
-    _write_text(dest, "".join(lines))
+    k = projections[0].coords.size if projections else 0
+    artifacts.write_tsv(
+        dest,
+        ["label"] + [f"dim{d + 1}" for d in range(k)],
+        ([p.label] + [repr(float(c)) for c in p.coords] for p in projections),
+    )
 
 
 def read_model_artifacts(
@@ -380,15 +372,13 @@ def read_model_artifacts(
     the reloaded model is numerically identical to the one exported
     (coordinates are written with full round-trip precision).
     """
-    meta = json.loads(_read_text(model_src))
+    meta = artifacts.read_json(model_src)
     sv = np.asarray(meta["singular_values"], dtype=np.float64)
     k = int(meta["dims"])
 
     rows: dict[str, tuple[float, np.ndarray]] = {}
     cols: dict[str, tuple[float, np.ndarray]] = {}
-    lines = _read_text(coords_src).splitlines()
-    for line in lines[1:]:
-        cells = line.split("\t")
+    for cells in artifacts.read_tsv(coords_src):
         kind, label, mass = cells[0], cells[1], float(cells[2])
         coords = np.asarray([float(c) for c in cells[3 : 3 + k]])
         (rows if kind == "row" else cols)[label] = (mass, coords)
@@ -417,9 +407,7 @@ def read_model_artifacts(
 
 
 def read_year_coords_tsv(src: str | Path | IO[str]) -> list[SupplementaryProjection]:
-    out: list[SupplementaryProjection] = []
-    for line in _read_text(src).splitlines()[1:]:
-        cells = line.split("\t")
-        coords = np.asarray([float(c) for c in cells[1:]])
-        out.append(SupplementaryProjection(cells[0], None, coords))
-    return out
+    return [
+        SupplementaryProjection(cells[0], None, np.asarray([float(c) for c in cells[1:]]))
+        for cells in artifacts.read_tsv(src)
+    ]

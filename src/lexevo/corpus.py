@@ -15,6 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
+from . import artifacts
 from .errors import DataError, EncodingError, SchemaError
 
 __all__ = [
@@ -370,8 +371,7 @@ def write_corpus_csv(
     parse -> write -> parse round-trips to field-identical documents.
     """
     columns = schema.mapped_columns()
-
-    def emit(fh: IO[str]) -> None:
+    with artifacts.open_writer(dest) as fh:
         writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
         writer.writerow([col for _, col in columns])
         for doc in corpus.documents:
@@ -386,19 +386,10 @@ def write_corpus_csv(
             }
             writer.writerow([values[logical] for logical, _ in columns])
 
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
-    else:
-        emit(dest)
-
 
 def write_rejects_report(
     rejects: Iterable[RejectedRow], dest: str | Path | IO[str]
 ) -> None:
-    """Rejects report: one tab-separated line per skipped row (row, reason)."""
-    lines = "".join(f"{r.row}\t{r.reason}\n" for r in rejects)
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_text(lines, encoding="utf-8")
-    else:
-        dest.write(lines)
+    """Rejects report: one tab-separated line per skipped row (row, reason),
+    no header line."""
+    artifacts.write_tsv(dest, None, ((str(r.row), r.reason) for r in rejects))

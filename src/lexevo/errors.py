@@ -27,7 +27,8 @@ class ConfigError(ValidationError):
 
 
 class DependencyError(ValidationError):
-    """A pipeline stage was invoked before the stage that produces its input."""
+    """A pipeline stage was invoked before the stage that produces its input,
+    or that input artifact is malformed."""
 
 
 class LabelNotFoundError(ValidationError):

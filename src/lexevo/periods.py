@@ -13,16 +13,16 @@ against the whole corpus.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .corpus import Corpus, Document
 from .errors import EmptyPeriodError, LabelNotFoundError, ValidationError
-from .textpipe import DocTermMatrix, _write_text
+from .textpipe import DocTermMatrix, group_sum
 
 __all__ = [
     "Period",
@@ -131,13 +131,10 @@ def _contingency(
 ) -> tuple[list[str], np.ndarray]:
     """Period-by-term count table over the matrix rows; documents outside
     every period are pooled into a trailing unassigned row when present."""
+    n = len(period_names)
     row_of: dict[str, int] = {name: i for i, name in enumerate(period_names)}
-    table = np.zeros((len(period_names) + 1, len(dtm.terms)), dtype=np.float64)
-    dense = dtm.counts.toarray()
-    for i, doc_id in enumerate(dtm.rows):
-        name = assignment.get(doc_id)
-        r = row_of.get(name, len(period_names)) if name is not None else len(period_names)
-        table[r] += dense[i]
+    groups = [row_of.get(assignment.get(doc_id), n) for doc_id in dtm.rows]
+    table = group_sum(dtm.counts, groups, n + 1)
     names = list(period_names)
     if table[-1].sum() > 0:
         names.append(UNASSIGNED)
@@ -274,7 +271,7 @@ def write_periods_json(
             for r in reports
         ],
     }
-    _write_text(dest, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    artifacts.write_json(dest, payload)
 
 
 def write_periods_markdown(
@@ -305,4 +302,4 @@ def write_periods_markdown(
         lines += [
             f"| {t} | {y} | {c:,} |\n" for t, y, c in r.pioneer_docs
         ]
-    _write_text(dest, "".join(lines))
+    artifacts.write_text(dest, "".join(lines))

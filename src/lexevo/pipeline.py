@@ -6,7 +6,14 @@ left in the output directory, never from in-memory state. Running the
 stages one at a time therefore produces byte-identical artifacts to a
 single end-to-end run, and any stage can be re-run in isolation. A
 missing upstream artifact raises :class:`DependencyError` naming the
-subcommand that produces it.
+subcommand that produces it, and so does a malformed one (a TSV row with
+the wrong number of cells, JSON that does not parse), naming the file and
+line; the CLI exits 1 for both.
+
+Every artifact is written through :mod:`lexevo.artifacts`, atomically: to
+a temporary file in the output directory that then replaces the artifact.
+A stage that crashes leaves the previous artifacts (or none), never a
+half-written file for a later stage to trust.
 
 ``manifest.json`` (written by :func:`run_pipeline`) records the full
 config echo, the input checksum and per-stage wall-clock timings; the
@@ -17,14 +24,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import logging
 import time
 from pathlib import Path
 
-import numpy as np
-from scipy import sparse
-
+from . import artifacts
 from . import ca as ca_mod
 from . import periods as periods_mod
 from . import stats as stats_mod
@@ -101,8 +105,8 @@ def _require(out: Path, artifact: str) -> Path:
     return path
 
 
-def _read_json(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
+def _write_svg(path: Path, svg: bytes) -> None:
+    artifacts.write_text(path, svg.decode("utf-8"))
 
 
 def _load_corpus_artifact(out: Path):
@@ -128,11 +132,7 @@ def stage_ingest(cfg: RunConfig) -> None:
         filtered.provenance.retained,
     )
     write_corpus_csv(filtered, out / A_CORPUS)
-    (out / A_FILTER_REPORT).write_text(
-        json.dumps(dataclasses.asdict(filtered.provenance), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
+    artifacts.write_json(out / A_FILTER_REPORT, dataclasses.asdict(filtered.provenance))
     write_rejects_report(filtered.rejects, out / A_REJECTS)
 
     streams = textpipe.tokenize_documents(filtered, cfg.min_token_len)
@@ -174,7 +174,7 @@ def stage_stats(cfg: RunConfig) -> None:
     out.mkdir(parents=True, exist_ok=True)
     corpus = _load_corpus_artifact(out)
     vocab = textpipe.read_vocabulary_tsv(_require(out, A_VOCAB))
-    filter_report = _read_json(_require(out, A_FILTER_REPORT))
+    filter_report = artifacts.read_json(_require(out, A_FILTER_REPORT))
 
     table = stats_mod.term_frequency_table(vocab, cfg.top_terms)
     stats_mod.write_term_table_tsv(table, out / A_TERM_FREQS)
@@ -214,9 +214,7 @@ def stage_stats(cfg: RunConfig) -> None:
         },
         "forecasts": forecasts,
     }
-    (out / A_STATS).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    artifacts.write_json(out / A_STATS, payload)
 
 
 def stage_ca(cfg: RunConfig) -> None:
@@ -227,19 +225,9 @@ def stage_ca(cfg: RunConfig) -> None:
     dtm = _load_dtm_artifact(out)
 
     if cfg.ca_input == "weighted":
-        w_rows, triplets = textpipe.read_counts_tsv(_require(out, A_WEIGHTED))
-        vocab = dtm.vocabulary
-        row_index = {r: i for i, r in enumerate(w_rows)}
-        data = np.array([v for _, _, v in triplets], dtype=np.float64)
-        ris = [row_index[doc_id] for doc_id, _, _ in triplets]
-        cjs = [vocab.index[term] for _, term, _ in triplets]
-        matrix = sparse.csr_matrix(
-            (data, (ris, cjs)), shape=(len(w_rows), len(vocab))
-        ).toarray()
-        inp = ca_mod.CaInput(matrix, tuple(w_rows), vocab.terms)
+        inp = ca_mod.CaInput.from_weighted(textpipe.weight_matrix(dtm, cfg.weighting))
     else:
         inp = ca_mod.CaInput.from_counts(dtm)
-    inp.validate()
     model = ca_mod.compute_ca(inp, cfg.ca_dims)
     ca_mod.write_coordinates_tsv(model, out / A_CA_COORDS)
     ca_mod.write_model_json(model, out / A_CA_MODEL)
@@ -266,13 +254,6 @@ def stage_periods(cfg: RunConfig) -> None:
     )
 
 
-def _read_yearly_artifact(path: Path) -> stats_mod.YearlyCounts:
-    lines = path.read_text(encoding="utf-8").splitlines()[1:]
-    pairs = [line.split("\t") for line in lines]
-    years = [int(y) for y, _ in pairs]
-    return stats_mod.YearlyCounts(years[0], tuple(int(c) for _, c in pairs))
-
-
 def stage_figures(cfg: RunConfig) -> None:
     """Render every SVG from the tabular artifacts."""
     out = cfg.out
@@ -281,62 +262,66 @@ def stage_figures(cfg: RunConfig) -> None:
     vocab = textpipe.read_vocabulary_tsv(_require(out, A_VOCAB))
     table = stats_mod.term_frequency_table(vocab, cfg.top_terms)
     bars = [(r.term, float(r.frequency)) for r in table.rows]
-    (out / A_TERM_BARS).write_bytes(
+    _write_svg(
+        out / A_TERM_BARS,
         viz.render_bar_chart(
             bars,
             viz.ChartOptions(title="Most frequent terms", height=max(240, 18 * len(bars) + 60)),
-        )
+        ),
     )
 
-    type_lines = _require(out, A_TYPE_SHARES).read_text(encoding="utf-8").splitlines()[1:]
-    type_bars = []
-    for line in type_lines:
-        name, share = line.split("\t")
-        type_bars.append((name, float(share)))
-    (out / A_TYPE_BARS).write_bytes(
+    type_bars = [
+        (name, float(share))
+        for name, share in artifacts.read_tsv(_require(out, A_TYPE_SHARES))
+    ]
+    _write_svg(
+        out / A_TYPE_BARS,
         viz.render_bar_chart(
             type_bars,
             viz.ChartOptions(title="Document types", height=240),
-        )
+        ),
     )
 
-    stats_payload = _read_json(_require(out, A_STATS))
-    series = _read_yearly_artifact(_require(out, A_YEARLY))
+    stats_payload = artifacts.read_json(_require(out, A_STATS))
+    yearly = list(artifacts.read_tsv(_require(out, A_YEARLY)))
     t = stats_payload["trend"]
     fit = stats_mod.TrendFit(
         c2=t["c2"], c1=t["c1"], c0=t["c0"],
         r_squared=t["r_squared"], first_year=t["first_year"],
     )
     fitted_through = t["fitted_through"]
+    first_year = int(yearly[0][0])
     observed = stats_mod.YearlyCounts(
-        series.first_year,
-        series.counts[: fitted_through - series.first_year + 1],
+        first_year,
+        tuple(int(c) for _, c in yearly[: fitted_through - first_year + 1]),
     )
-    (out / A_TREND).write_bytes(
+    _write_svg(
+        out / A_TREND,
         viz.render_trend_chart(
             observed,
             fit,
             cfg.trend_horizon,
             viz.ChartOptions(title="Publications per year"),
-        )
+        ),
     )
 
     model = ca_mod.read_model_artifacts(
         _require(out, A_CA_COORDS), _require(out, A_CA_MODEL)
     )
     projections = ca_mod.read_year_coords_tsv(_require(out, A_YEAR_COORDS))
-    (out / A_CA_MAP).write_bytes(
+    _write_svg(
+        out / A_CA_MAP,
         viz.render_ca_map(
             model,
             projections,
             viz.ChartOptions(title="Term map with year trajectory"),
-        )
+        ),
     )
 
     k = min(cfg.cloud_terms, len(vocab))
     weights = [(term, float(vocab.total_frequency[term])) for term in vocab.terms[:k]]
     layout = viz.layout_word_cloud(weights, seed=cfg.seed)
-    (out / A_CLOUD).write_bytes(viz.render_word_cloud(layout))
+    _write_svg(out / A_CLOUD, viz.render_word_cloud(layout))
     viz.write_cloud_layout_tsv(layout, out / A_CLOUD_LAYOUT)
     if layout.dropped:
         logger.warning(
@@ -397,10 +382,10 @@ def run_pipeline(cfg: RunConfig) -> Path:
         manifest["status"] = "failed"
         manifest["failed_stage"] = name
         manifest["error"] = f"{type(exc).__name__}: {exc}"
-        _write_manifest(out, manifest)
+        artifacts.write_json(out / A_MANIFEST, manifest)
         raise
-    model_meta = _read_json(out / A_CA_MODEL)
-    stats_payload = _read_json(out / A_STATS)
+    model_meta = artifacts.read_json(out / A_CA_MODEL)
+    stats_payload = artifacts.read_json(out / A_STATS)
     manifest["summary"] = {
         "documents": stats_payload["documents"],
         "vocabulary_size": stats_payload["vocabulary_size"],
@@ -408,11 +393,5 @@ def run_pipeline(cfg: RunConfig) -> Path:
         "singular_values": model_meta["singular_values"],
         "inertia_shares": model_meta["inertia_shares"],
     }
-    _write_manifest(out, manifest)
+    artifacts.write_json(out / A_MANIFEST, manifest)
     return out
-
-
-def _write_manifest(out: Path, manifest: dict) -> None:
-    (out / A_MANIFEST).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

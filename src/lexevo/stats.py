@@ -13,9 +13,10 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .corpus import Corpus, DocType
 from .errors import DataError, InsufficientDataError, ValidationError
-from .textpipe import Vocabulary, _write_text
+from .textpipe import Vocabulary
 
 __all__ = [
     "YearlyCounts",
@@ -166,20 +167,17 @@ def predict_trend(fit: TrendFit, year: int) -> float:
 def write_term_table_tsv(
     table: TermFrequencyTable, dest: str | Path | IO[str]
 ) -> None:
-    lines = ["term\tfrequency\tshare\n"]
-    lines += [f"{r.term}\t{r.frequency}\t{r.share!r}\n" for r in table.rows]
-    _write_text(dest, "".join(lines))
+    rows = [(r.term, str(r.frequency), repr(r.share)) for r in table.rows]
+    artifacts.write_tsv(dest, ("term", "frequency", "share"), rows)
 
 
 def write_yearly_counts_tsv(series: YearlyCounts, dest: str | Path | IO[str]) -> None:
-    lines = ["year\tcount\n"]
-    lines += [f"{y}\t{c}\n" for y, c in zip(series.years, series.counts)]
-    _write_text(dest, "".join(lines))
+    rows = [(str(y), str(c)) for y, c in zip(series.years, series.counts)]
+    artifacts.write_tsv(dest, ("year", "count"), rows)
 
 
 def write_type_shares_tsv(
     shares: Sequence[tuple[DocType, float]], dest: str | Path | IO[str]
 ) -> None:
-    lines = ["doc_type\tshare\n"]
-    lines += [f"{t.value}\t{s!r}\n" for t, s in shares]
-    _write_text(dest, "".join(lines))
+    rows = [(t.value, repr(s)) for t, s in shares]
+    artifacts.write_tsv(dest, ("doc_type", "share"), rows)

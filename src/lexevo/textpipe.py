@@ -17,6 +17,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 from scipy import sparse
 
+from . import artifacts
 from .corpus import Corpus
 from .errors import (
     ConfigError,
@@ -48,6 +49,7 @@ __all__ = [
     "write_counts_tsv",
     "read_counts_tsv",
     "dtm_from_triplets",
+    "group_sum",
     "ENGLISH_STOPWORDS",
 ]
 
@@ -380,21 +382,16 @@ def weight_matrix(dtm: DocTermMatrix, scheme: WeightScheme) -> WeightedMatrix:
 
 
 def write_vocabulary_tsv(vocab: Vocabulary, dest: str | Path | IO[str]) -> None:
-    lines = ["term\ttotal_frequency\tdoc_frequency\n"]
-    lines += [
-        f"{t}\t{vocab.total_frequency[t]}\t{vocab.doc_frequency[t]}\n"
-        for t in vocab.terms
-    ]
-    _write_text(dest, "".join(lines))
+    totals, dfs = vocab.total_frequency, vocab.doc_frequency
+    rows = [(t, str(totals[t]), str(dfs[t])) for t in vocab.terms]
+    artifacts.write_tsv(dest, ("term", "total_frequency", "doc_frequency"), rows)
 
 
 def read_vocabulary_tsv(src: str | Path | IO[str]) -> Vocabulary:
-    text = _read_text(src)
     terms: list[str] = []
     totals: dict[str, int] = {}
     dfs: dict[str, int] = {}
-    for line in text.splitlines()[1:]:
-        term, total, df = line.split("\t")
+    for term, total, df in artifacts.read_tsv(src):
         terms.append(term)
         totals[term] = int(total)
         dfs[term] = int(df)
@@ -416,13 +413,15 @@ def write_counts_tsv(
     """Sparse triplet dump (doc_id, term, value), row-major order."""
     csr = sparse.csr_matrix(matrix)
     csr.sort_indices()
-    out = [f"doc_id\tterm\t{value_name}\n"]
-    for i, doc_id in enumerate(rows):
-        start, end = csr.indptr[i], csr.indptr[i + 1]
-        for j, v in zip(csr.indices[start:end], csr.data[start:end]):
-            value = int(v) if value_name == "count" else repr(float(v))
-            out.append(f"{doc_id}\t{terms[j]}\t{value}\n")
-    _write_text(dest, "".join(out))
+
+    def triplets() -> Iterator[tuple[str, str, str]]:
+        for i, doc_id in enumerate(rows):
+            start, end = csr.indptr[i], csr.indptr[i + 1]
+            for j, v in zip(csr.indices[start:end], csr.data[start:end]):
+                value = str(int(v)) if value_name == "count" else repr(float(v))
+                yield doc_id, terms[j], value
+
+    artifacts.write_tsv(dest, ("doc_id", "term", value_name), triplets())
 
 
 def read_counts_tsv(
@@ -430,12 +429,10 @@ def read_counts_tsv(
 ) -> tuple[list[str], list[tuple[str, str, float]]]:
     """Read a triplet dump; returns (row ids in first-appearance order,
     triplets)."""
-    text = _read_text(src)
     rows: list[str] = []
     seen: set[str] = set()
     triplets: list[tuple[str, str, float]] = []
-    for line in text.splitlines()[1:]:
-        doc_id, term, value = line.split("\t")
+    for doc_id, term, value in artifacts.read_tsv(src):
         if doc_id not in seen:
             seen.add(doc_id)
             rows.append(doc_id)
@@ -471,14 +468,9 @@ def dtm_from_triplets(
     )
 
 
-def _write_text(dest: str | Path | IO[str], text: str) -> None:
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text, encoding="utf-8")
-    else:
-        dest.write(text)
-
-
-def _read_text(src: str | Path | IO[str]) -> str:
-    if isinstance(src, (str, Path)):
-        return Path(src).read_text(encoding="utf-8")
-    return src.read()
+def group_sum(counts: sparse.spmatrix, group_index: Sequence[int], n_groups: int) -> np.ndarray:
+    """Dense float64 (n_groups, n_cols) sums of the rows of ``counts``: row i
+    is added into row ``group_index[i]``. Sums of integer counts are exact."""
+    n = counts.shape[0]
+    indicator = sparse.csr_matrix((np.ones(n), (group_index, np.arange(n))), shape=(n_groups, n))
+    return (indicator @ counts).toarray()

@@ -17,10 +17,10 @@ from pathlib import Path
 from typing import IO, Sequence
 from xml.sax.saxutils import escape
 
+from . import artifacts
 from .ca import CaModel, SupplementaryProjection
 from .errors import DataError, LayoutError, ValidationError
 from .stats import TrendFit, YearlyCounts
-from .textpipe import _write_text
 
 __all__ = [
     "ChartOptions",
@@ -237,12 +237,9 @@ def render_word_cloud(layout: CloudLayout, title: str = "") -> bytes:
 def write_cloud_layout_tsv(layout: CloudLayout, dest: str | Path | IO[str]) -> None:
     """Layout debug dump: term, box-center coordinates, font size; dropped
     terms listed with empty coordinates."""
-    lines = ["term\tx\ty\tsize\n"]
-    lines += [
-        f"{p.term}\t{p.x!r}\t{p.y!r}\t{p.font_size!r}\n" for p in layout.placements
-    ]
-    lines += [f"{t}\t\t\t\n" for t in layout.dropped]
-    _write_text(dest, "".join(lines))
+    rows = [(p.term, repr(p.x), repr(p.y), repr(p.font_size)) for p in layout.placements]
+    rows += [(t, "", "", "") for t in layout.dropped]
+    artifacts.write_tsv(dest, ("term", "x", "y", "size"), rows)
 
 
 # ---------------------------------------------------------------------------

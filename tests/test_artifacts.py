@@ -1,0 +1,133 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+import lexevo
+from lexevo import artifacts
+from lexevo.errors import DependencyError
+
+SRC = Path(lexevo.__file__).parent
+
+
+def test_tsv_without_header_writes_only_rows(tmp_path):
+    path = tmp_path / "rejects.tsv"
+    artifacts.write_tsv(path, None, [("3", "malformed year 'x'")])
+    assert path.read_bytes() == b"3\tmalformed year 'x'\n"
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "table.tsv"
+    artifacts.write_tsv(path, ("n",), [("1",), ("2",)])
+    before = path.read_bytes()
+
+    def rows():
+        yield ("3",)
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError, match="producer failed"):
+        artifacts.write_tsv(path, ("n",), rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
+
+
+def test_successful_write_replaces_the_file(tmp_path):
+    path = tmp_path / "model.json"
+    artifacts.write_json(path, {"b": 1, "a": [1.5]})
+    artifacts.write_json(path, {"b": 2})
+    assert path.read_text(encoding="utf-8") == '{\n  "b": 2\n}\n'
+    assert artifacts.read_json(path) == {"b": 2}
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+@pytest.mark.parametrize(
+    "text, line, cells",
+    [("a\tb\n1\t2\n3\n", 3, 1), ("a\tb\n1\t2\t3\n", 2, 3)],
+)
+def test_row_with_wrong_cell_count_names_file_and_line(tmp_path, text, line, cells):
+    path = tmp_path / "bad.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DependencyError, match=f"{path}: line {line} has {cells} cells"):
+        list(artifacts.read_tsv(path))
+
+
+def test_empty_tsv_and_bad_json_are_malformed(tmp_path):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("", encoding="utf-8")
+    with pytest.raises(DependencyError, match="empty.tsv: no header line"):
+        list(artifacts.read_tsv(empty))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{\n  oops\n", encoding="utf-8")
+    with pytest.raises(DependencyError, match="bad.json: line 2"):
+        artifacts.read_json(bad)
+
+
+# --- one writer ----------------------------------------------------------------
+
+_WRITE_METHODS = {"write_text", "write_bytes"}
+
+
+def _is_write_open(call: ast.Call) -> bool:
+    """``open(...)`` or ``x.open(...)`` whose mode is not a read-only literal."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name != "open":
+        return False
+    mode_args = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    if isinstance(func, ast.Name) and len(call.args) > 1:
+        mode_args.append(call.args[1])
+    elif isinstance(func, ast.Attribute) and call.args:
+        mode_args.append(call.args[0])
+    if not mode_args:
+        return False  # default mode "r"
+    mode = mode_args[0]
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True  # cannot tell: treat as a write
+    return any(flag in mode.value for flag in "wax+")
+
+
+def _violations(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in _WRITE_METHODS
+                and not (isinstance(func.value, ast.Name) and func.value.id == "artifacts")
+            ):
+                found.append(f"{path.name}:{node.lineno} calls .{func.attr}(")
+            elif _is_write_open(node):
+                found.append(f"{path.name}:{node.lineno} opens a file for writing")
+        elif isinstance(node, ast.ImportFrom):
+            internal = node.level > 0 or (node.module or "").startswith("lexevo")
+            private = [a.name for a in node.names if a.name.startswith("_")]
+            if internal and private:
+                found.append(f"{path.name}:{node.lineno} imports private {private}")
+    return found
+
+
+def test_only_the_artifacts_module_writes_files():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "artifacts.py")
+    assert modules, SRC
+    violations = [v for p in modules for v in _violations(p)]
+    assert violations == []
+
+
+def test_guard_detects_writes_and_private_imports(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .textpipe import _write_text\n"
+        "open(p, 'w')\n"
+        "open(p, mode='ab')\n"
+        "Path(p).open('w')\n"
+        "Path(p).write_text('x')\n"
+        "Path(p).write_bytes(b'x')\n"
+        "open(p, 'rb')\n"
+        "open(p)\n"
+        "artifacts.write_text(p, 'x')\n",
+        encoding="utf-8",
+    )
+    assert sorted(v.split(" ")[0] for v in _violations(sample)) == [
+        f"sample.py:{n}" for n in (1, 2, 3, 4, 5, 6)
+    ]

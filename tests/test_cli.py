@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -5,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from lexevo import stats
+from lexevo.ca import CaInput, compute_ca, write_coordinates_tsv, write_model_json
 from lexevo.cli import main
 from lexevo.pipeline import ARTIFACTS
+from lexevo.textpipe import weight_matrix
 
 ALL_STAGES = ("ingest", "stats", "ca", "periods", "figures")
 
@@ -42,6 +46,26 @@ def test_staged_run_equals_full_run(tmp_path, write_mini_config):
     for stage in ALL_STAGES:
         assert main([stage, "--config", str(staged_config)]) == 0
     assert _artifact_bytes(full) == _artifact_bytes(staged)
+
+
+@pytest.mark.parametrize("weighting", ["relative-frequency", "tf-idf", "entropy"])
+def test_weighted_ca_input_is_the_ca_of_the_weighted_dtm(
+    tmp_path, write_mini_config, mini_dtm, weighting
+):
+    extra = {"ca_input": "weighted", "weighting": weighting}
+    full, staged = tmp_path / "full", tmp_path / "staged"
+    assert main(["run", "--config", str(write_mini_config(full, **extra))]) == 0
+    staged_config = write_mini_config(staged, **extra)
+    for stage in ALL_STAGES:
+        assert main([stage, "--config", str(staged_config)]) == 0
+    assert _artifact_bytes(full) == _artifact_bytes(staged)
+
+    model = compute_ca(CaInput.from_weighted(weight_matrix(mini_dtm, weighting)))
+    coords, meta = io.StringIO(), io.StringIO()
+    write_coordinates_tsv(model, coords)
+    write_model_json(model, meta)
+    assert (full / "ca_coords.tsv").read_text(encoding="utf-8") == coords.getvalue()
+    assert (full / "ca_model.json").read_text(encoding="utf-8") == meta.getvalue()
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path, write_mini_config):
@@ -112,12 +136,56 @@ def test_data_error_exits_2(tmp_path, write_mini_config):
     assert main(["stats", "--config", str(config)]) == 2
 
 
-def test_internal_error_exits_3(tmp_path, write_mini_config):
+def test_internal_error_exits_3(tmp_path, write_mini_config, monkeypatch):
     out = tmp_path / "out"
     config = write_mini_config(out)
     assert main(["ingest", "--config", str(config)]) == 0
-    (out / "vocabulary.tsv").write_text("garbage\nwith\tbad columns\n")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(stats, "term_frequency_table", broken)
     assert main(["stats", "--config", str(config)]) == 3
+
+
+def _cut_mid_line(path: Path) -> int:
+    """Truncate a TSV artifact just before a tab past its middle; returns
+    the number of the now incomplete last line."""
+    text = path.read_text(encoding="utf-8")
+    kept = text[: text.index("\t", len(text) // 2)]
+    path.write_text(kept, encoding="utf-8")
+    return kept.count("\n") + 1
+
+
+def _replace_with_garbage(path: Path) -> int:
+    path.write_text("garbage\nwith\tbad columns\n", encoding="utf-8")
+    return 2
+
+
+def _write_unterminated_json(path: Path) -> int:
+    path.write_text('{"loaded": 60,\n', encoding="utf-8")
+    return 2
+
+
+@pytest.mark.parametrize(
+    "artifact, stage, corrupt",
+    [
+        ("dtm.tsv", "ca", _cut_mid_line),
+        ("vocabulary.tsv", "stats", _replace_with_garbage),
+        ("filter_report.json", "stats", _write_unterminated_json),
+    ],
+)
+def test_malformed_artifact_exits_1_naming_file_and_line(
+    tmp_path, write_mini_config, capsys, artifact, stage, corrupt
+):
+    out = tmp_path / "out"
+    config = write_mini_config(out)
+    assert main(["ingest", "--config", str(config)]) == 0
+    line = corrupt(out / artifact)
+    capsys.readouterr()
+    assert main([stage, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"malformed artifact {out / artifact}: line {line}" in err
 
 
 def test_failed_run_still_writes_a_manifest(tmp_path, write_mini_config):
