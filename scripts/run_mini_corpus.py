@@ -2,10 +2,11 @@
 """Run the full pipeline on the bundled demo corpus and print a digest.
 
 This is the quickest way to see every stage produce its artifacts without
-writing a config by hand: the script locates the CSV shipped inside the
-installed package, writes a config next to the output directory, invokes
-the same entry point as the ``lexevo`` executable, and then summarizes the
-stats / correspondence-analysis artifacts it finds.
+writing a config by hand: the script runs the checked-in
+``configs/mini.conf`` (which points at the CSV shipped inside the package)
+through the same entry point as the ``lexevo`` executable, with ``--out``
+and ``--seed`` overriding the config, and then summarizes the stats /
+correspondence-analysis artifacts it finds.
 
     python3 scripts/run_mini_corpus.py --out out/demo --seed 7
 """
@@ -17,39 +18,15 @@ import json
 import sys
 from pathlib import Path
 
-import lexevo
 from lexevo.cli import main as lexevo_main
 
-CONFIG_TEMPLATE = """\
-input = {input}
-out = {out}
-schema.title = Title
-schema.abstract = Abstract
-schema.keywords = Author Keywords
-schema.year = Year
-schema.doc_type = Document Type
-schema.citations = Cited by
-min_term_freq = 5
-top_terms = 15
-cloud_terms = 30
-trend_horizon = 2
-seed = {seed}
-"""
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "mini.conf"
 
 
 def run(out: Path, seed: int) -> int:
-    corpus_csv = Path(lexevo.__file__).parent / "data" / "mini_corpus.csv"
-    # Relative paths inside a config resolve against the config file's own
-    # directory, so pin both paths down before writing it.
-    out = out.resolve()
-    out.mkdir(parents=True, exist_ok=True)
-    config = out.parent / f"{out.name}.conf"
-    config.write_text(
-        CONFIG_TEMPLATE.format(input=corpus_csv, out=out, seed=seed),
-        encoding="utf-8",
+    code = lexevo_main(
+        ["run", "--config", str(CONFIG), "--out", str(out), "--seed", str(seed)]
     )
-
-    code = lexevo_main(["run", "--config", str(config)])
     if code != 0:
         return code
 
@@ -57,7 +34,7 @@ def run(out: Path, seed: int) -> int:
     stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
 
     n_files = sum(1 for p in out.iterdir() if p.is_file())
-    print(f"config   : {config}")
+    print(f"config   : {CONFIG}")
     print(f"artifacts: {out} ({n_files} files)")
     summary = manifest["summary"]
     print(

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import IO, Literal, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from . import artifacts
 from .corpus import Corpus
@@ -65,19 +66,20 @@ PointKind = Literal["row", "col"]
 
 @dataclass(frozen=True, eq=False)
 class CaInput:
-    """A labeled non-negative dense matrix ready for correspondence analysis."""
+    """A labeled non-negative matrix (numpy or scipy-sparse) ready for
+    correspondence analysis."""
 
-    matrix: np.ndarray
+    matrix: np.ndarray | sparse.spmatrix
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
 
     @classmethod
     def from_counts(cls, dtm: DocTermMatrix) -> "CaInput":
-        return cls(dtm.counts.toarray().astype(np.float64), dtm.rows, dtm.terms)
+        return cls(dtm.counts, dtm.rows, dtm.terms)
 
     @classmethod
     def from_weighted(cls, wm: WeightedMatrix) -> "CaInput":
-        return cls(wm.values.toarray().astype(np.float64), wm.rows, wm.terms)
+        return cls(wm.values, wm.rows, wm.terms)
 
     def validate(self) -> None:
         m = self.matrix
@@ -88,19 +90,24 @@ class CaInput:
                 f"label count {(len(self.row_labels), len(self.col_labels))} "
                 f"does not match matrix shape {m.shape}"
             )
-        if not np.all(np.isfinite(m)):
+        stored = m.data if sparse.issparse(m) else m
+        if not np.all(np.isfinite(stored)):
             raise ValidationError("matrix contains non-finite entries")
-        if (m < 0).any():
-            bad = np.argwhere(m < 0)[:5].tolist()
+        if (stored < 0).any():
+            bad = np.transpose((m < 0).nonzero())[:5].tolist()
             raise ValidationError(f"matrix has negative entries at {bad}")
         if m.sum() <= 0:
             raise ValidationError("matrix grand total must be positive")
-        zero_rows = [self.row_labels[i] for i in np.flatnonzero(m.sum(axis=1) == 0)]
-        zero_cols = [self.col_labels[j] for j in np.flatnonzero(m.sum(axis=0) == 0)]
+        zero_rows = [self.row_labels[i] for i in np.flatnonzero(_margin(m, 1) == 0)]
+        zero_cols = [self.col_labels[j] for j in np.flatnonzero(_margin(m, 0) == 0)]
         if zero_rows or zero_cols:
             raise ValidationError(
                 f"matrix has all-zero rows {zero_rows} / columns {zero_cols}"
             )
+
+
+def _margin(m: np.ndarray | sparse.spmatrix, axis: int) -> np.ndarray:
+    return np.asarray(m.sum(axis=axis)).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +174,18 @@ def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
             f"dims must be between 1 and min(rows, cols) - 1 = {max_dims}, got {dims}"
         )
 
-    p = inp.matrix / inp.matrix.sum()
-    a = p.sum(axis=1)
-    b = p.sum(axis=0)
+    # One dense float64 working buffer, turned in place into the
+    # standardized residuals S. ``expected`` is the only other dense array
+    # and is freed before the SVD copies S.
+    m = inp.matrix
+    s = m.astype(np.float64).toarray() if sparse.issparse(m) else np.array(m, np.float64)
+    s /= s.sum()
+    a = s.sum(axis=1)
+    b = s.sum(axis=0)
     expected = np.outer(a, b)
-    s = (p - expected) / np.sqrt(expected)
+    s -= expected
+    s /= np.sqrt(expected, out=expected)
+    del expected
 
     u, sv, vt = np.linalg.svd(s, full_matrices=False)
     v = vt.T

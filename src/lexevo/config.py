@@ -3,15 +3,19 @@
 Every tunable for a pipeline run lives in one small UTF-8 config file of
 ``key = value`` lines, so a run is reproducible from (config file, input
 CSV, seed). ``#`` starts a full-line comment; blank lines are ignored;
-keys may appear at most once. List-valued keys use commas. CSV column
-names are remapped with dotted ``schema.*`` keys. Relative paths are
-resolved against the directory containing the config file.
+keys may appear at most once. List-valued keys use commas. The keys are
+the fields of :class:`RunConfig`, except that CSV column names are
+remapped with one dotted ``schema.*`` key per :class:`CsvSchema` field;
+each field's type picks the codec that parses and echoes its value.
+Relative paths are resolved against the directory containing the config
+file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Any, Callable, NamedTuple, get_type_hints
 
 from .corpus import (
     CANONICAL_SCHEMA,
@@ -21,7 +25,7 @@ from .corpus import (
     DocType,
     normalize_doc_type,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .periods import DEFAULT_PERIOD_SPEC, PeriodSpec
 from .textpipe import WeightScheme
 
@@ -33,6 +37,13 @@ __all__ = [
 ]
 
 _CA_INPUTS = ("counts", "weighted")
+
+#: Smallest allowed value of each bounded integer field.
+_MINIMUM = {
+    "min_token_len": 1, "min_term_freq": 1, "ca_dims": 1, "top_terms": 1,
+    "top_docs": 1, "period_terms": 1, "cloud_terms": 1,
+    "trend_horizon": 0, "trend_skip_last": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -63,24 +74,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        positive = [
-            ("min_token_len", self.min_token_len),
-            ("min_term_freq", self.min_term_freq),
-            ("ca_dims", self.ca_dims),
-            ("top_terms", self.top_terms),
-            ("top_docs", self.top_docs),
-            ("period_terms", self.period_terms),
-            ("cloud_terms", self.cloud_terms),
-        ]
-        for name, value in positive:
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        for name, value in [
-            ("trend_horizon", self.trend_horizon),
-            ("trend_skip_last", self.trend_skip_last),
-        ]:
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
+        for name, low in _MINIMUM.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if not 0.0 <= self.auto_stop_df <= 1.0:
             raise ConfigError(
                 f"auto_stop_df must be in [0, 1], got {self.auto_stop_df}"
@@ -118,30 +115,49 @@ class RunConfig:
         return cfg
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    table = {"true": True, "false": False, "yes": True, "no": False}
-    try:
-        return table[value.lower()]
-    except KeyError:
-        raise ConfigError(f"{key} expects true/false, got {value!r}") from None
+class _Codec(NamedTuple):
+    """Parser and echo of one field type; ``parse`` raises ValueError,
+    KeyError or ValidationError, and the error names ``expects``."""
+
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str]
+    expects: str
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} expects an integer, got {value!r}") from None
+def _codecs(base: Path) -> dict[Any, _Codec]:
+    """The codec of each field type. Paths are joined to ``base``, so a
+    relative path resolves against it and an absolute one replaces it."""
+
+    def items(value: str) -> list[str]:
+        return [item.strip() for item in value.split(",") if item.strip()]
+
+    bools = {"true": True, "false": False, "yes": True, "no": False}
+    return {
+        Path: _Codec(base.joinpath, str, "a path"),
+        int: _Codec(int, str, "an integer"),
+        float: _Codec(float, repr, "a number"),
+        bool: _Codec(lambda v: bools[v.lower()], lambda b: str(b).lower(), "true/false"),
+        str: _Codec(str, str, "a string"),
+        tuple[Path, ...]: _Codec(
+            lambda v: tuple(map(base.joinpath, items(v))),
+            lambda paths: ",".join(map(str, paths)),
+            "comma-separated paths",
+        ),
+        frozenset[DocType]: _Codec(
+            lambda v: frozenset(map(normalize_doc_type, items(v))),
+            lambda types: ",".join(sorted(t.value for t in types)),
+            "comma-separated document types",
+        ),
+        WeightScheme: _Codec(
+            WeightScheme, lambda w: w.value, f"one of {[w.value for w in WeightScheme]}"
+        ),
+        PeriodSpec: _Codec(PeriodSpec.parse, PeriodSpec.format, "Name:first-last periods"),
+    }
 
 
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key} expects a number, got {value!r}") from None
-
-
-def _split_list(value: str) -> list[str]:
-    return [item.strip() for item in value.split(",") if item.strip()]
+#: Field name -> resolved type (the annotations are strings here).
+_FIELD_TYPES = get_type_hints(RunConfig)
+_SCHEMA_COLUMNS = tuple(f.name for f in fields(CsvSchema))
 
 
 def parse_config_text(text: str, base_dir: str | Path = ".") -> RunConfig:
@@ -150,7 +166,6 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> RunConfig:
     Raises :class:`ConfigError` (naming the offending key and line) for
     syntax errors, unknown or duplicate keys, and out-of-range values.
     """
-    base = Path(base_dir)
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -167,53 +182,24 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> RunConfig:
     if "input" not in pairs:
         raise ConfigError("missing required key 'input'")
 
-    def path_of(value: str) -> Path:
-        p = Path(value)
-        return p if p.is_absolute() else (base / p)
-
-    kwargs: dict[str, object] = {}
+    codecs = _codecs(Path(base_dir))
+    kwargs: dict[str, Any] = {}
     schema_over: dict[str, str | None] = {}
-    valid_field_names = {f.name for f in fields(CsvSchema)}
-    scalar_int = {
-        "year_min", "year_max", "min_token_len", "min_term_freq", "ca_dims",
-        "top_terms", "top_docs", "period_terms", "cloud_terms",
-        "trend_horizon", "trend_skip_last", "seed",
-    }
     for key, value in pairs.items():
         if key.startswith("schema."):
-            name = key[len("schema."):]
-            if name not in valid_field_names:
+            column = key[len("schema."):]
+            if column not in _SCHEMA_COLUMNS:
                 raise ConfigError(f"unknown schema field {key!r}")
-            schema_over[name] = value or None
-        elif key in ("input", "out"):
-            kwargs[key] = path_of(value)
-        elif key == "stoplists":
-            kwargs[key] = tuple(path_of(v) for v in _split_list(value))
-        elif key == "excluded_types":
-            types = frozenset(
-                normalize_doc_type(v) for v in _split_list(value)
-            )
-            kwargs[key] = types
-        elif key == "builtin_stopwords":
-            kwargs[key] = _parse_bool(key, value)
-        elif key == "auto_stop_df":
-            kwargs[key] = _parse_float(key, value)
-        elif key in scalar_int:
-            kwargs[key] = _parse_int(key, value)
-        elif key == "weighting":
-            try:
-                kwargs[key] = WeightScheme(value)
-            except ValueError:
-                raise ConfigError(
-                    f"weighting must be one of "
-                    f"{[s.value for s in WeightScheme]}, got {value!r}"
-                ) from None
-        elif key == "ca_input":
-            kwargs[key] = value
-        elif key == "periods":
-            kwargs[key] = PeriodSpec.parse(value)
-        else:
+            schema_over[column] = value or None
+            continue
+        codec = codecs.get(_FIELD_TYPES.get(key))
+        if codec is None:
             raise ConfigError(f"unknown config key {key!r}")
+        try:
+            kwargs[key] = codec.parse(value)
+        except (ValueError, KeyError, ValidationError) as exc:
+            detail = f" ({exc})" if isinstance(exc, ValidationError) else ""
+            raise ConfigError(f"{key} expects {codec.expects}, got {value!r}{detail}") from None
 
     if schema_over:
         # An explicit schema block replaces the canonical mapping wholesale:
@@ -226,7 +212,7 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> RunConfig:
                 )
         kwargs["schema"] = CsvSchema(**schema_over)  # type: ignore[arg-type]
 
-    return RunConfig(**kwargs)  # type: ignore[arg-type]
+    return RunConfig(**kwargs)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -245,43 +231,18 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def to_config_text(cfg: RunConfig) -> str:
-    """Canonical echo of a config, parseable by :func:`parse_config_text`.
+    """Canonical echo of a config, parseable by :func:`parse_config_text`:
+    one line per field in field order, ``schema`` as its seven columns.
 
     Embedded in the run manifest so any run can be repeated from its
     outputs alone.
     """
-    lines = [f"input = {cfg.input}"]
-    lines.append(f"out = {cfg.out}")
-    for field_name, column in [
-        ("title", cfg.schema.title),
-        ("abstract", cfg.schema.abstract),
-        ("year", cfg.schema.year),
-        ("doc_type", cfg.schema.doc_type),
-        ("keywords", cfg.schema.keywords),
-        ("citations", cfg.schema.citations),
-        ("id", cfg.schema.id),
-    ]:
-        lines.append(f"schema.{field_name} = {column if column is not None else ''}")
-    lines.append(
-        "excluded_types = "
-        + ",".join(sorted(t.value for t in cfg.excluded_types))
-    )
-    lines.append(f"year_min = {cfg.year_min}")
-    lines.append(f"year_max = {cfg.year_max}")
-    lines.append(f"builtin_stopwords = {'true' if cfg.builtin_stopwords else 'false'}")
-    lines.append("stoplists = " + ",".join(str(p) for p in cfg.stoplists))
-    lines.append(f"min_token_len = {cfg.min_token_len}")
-    lines.append(f"min_term_freq = {cfg.min_term_freq}")
-    lines.append(f"auto_stop_df = {cfg.auto_stop_df!r}")
-    lines.append(f"weighting = {cfg.weighting.value}")
-    lines.append(f"ca_input = {cfg.ca_input}")
-    lines.append(f"ca_dims = {cfg.ca_dims}")
-    lines.append(f"periods = {cfg.periods.format()}")
-    lines.append(f"top_terms = {cfg.top_terms}")
-    lines.append(f"top_docs = {cfg.top_docs}")
-    lines.append(f"period_terms = {cfg.period_terms}")
-    lines.append(f"cloud_terms = {cfg.cloud_terms}")
-    lines.append(f"trend_horizon = {cfg.trend_horizon}")
-    lines.append(f"trend_skip_last = {cfg.trend_skip_last}")
-    lines.append(f"seed = {cfg.seed}")
+    codecs = _codecs(Path("."))
+    lines = []
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if f.name == "schema":
+            lines += [f"schema.{c} = {getattr(value, c) or ''}" for c in _SCHEMA_COLUMNS]
+        else:
+            lines.append(f"{f.name} = {codecs[_FIELD_TYPES[f.name]].format(value)}")
     return "\n".join(lines) + "\n"

@@ -215,14 +215,15 @@ CANONICAL_SCHEMA = CsvSchema(
 
 
 def _decode_source(source: bytes | bytearray | IO) -> str:
+    # Exports often start with a UTF-8 byte-order mark; it is not data.
     if isinstance(source, (bytes, bytearray)):
         data: bytes = bytes(source)
     else:
         data = source.read()
         if isinstance(data, str):
-            return data
+            return data.removeprefix("\ufeff")
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
 

@@ -131,3 +131,60 @@ def test_guard_detects_writes_and_private_imports(tmp_path):
     assert sorted(v.split(" ")[0] for v in _violations(sample)) == [
         f"sample.py:{n}" for n in (1, 2, 3, 4, 5, 6)
     ]
+
+
+# --- no dense copy of a sparse matrix ------------------------------------------
+
+#: (module, function) allowed to densify: ``group_sum``'s output is a small
+#: groups x terms table, and ``compute_ca`` needs the dense residual matrix
+#: for its full SVD.
+_DENSE_ALLOWED = {("textpipe", "group_sum"), ("ca", "compute_ca")}
+
+
+def _dense_calls(path: Path) -> list[str]:
+    """``.toarray()`` / ``.todense()`` calls as ``module.function:line``."""
+    found = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) in (
+                "toarray",
+                "todense",
+            ):
+                if (path.stem, function) not in _DENSE_ALLOWED:
+                    found.append(f"{path.stem}.{function}:{child.lineno}")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_only_group_sum_and_compute_ca_densify_a_sparse_matrix():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules, SRC
+    assert [v for p in modules for v in _dense_calls(p)] == []
+
+
+def test_dense_guard_detects_calls_outside_the_allowed_functions(tmp_path):
+    sample = tmp_path / "ca.py"
+    sample.write_text(
+        "x = m.toarray()\n"
+        "class CaInput:\n"
+        "    def from_counts(cls, dtm):\n"
+        "        return cls(dtm.counts.toarray())\n"
+        "def compute_ca(inp):\n"
+        "    s = inp.matrix.toarray()\n"
+        "    def inner():\n"
+        "        return np.asarray(s.todense())\n"
+        "    return s\n"
+        "def group_sum(m):\n"
+        "    return m.toarray()\n",
+        encoding="utf-8",
+    )
+    assert _dense_calls(sample) == [
+        "ca.None:1",
+        "ca.from_counts:4",
+        "ca.inner:8",
+        "ca.group_sum:11",
+    ]

@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 import oracles
 from lexevo.ca import (
@@ -200,6 +201,41 @@ def test_validate_rejects_zero_rows_and_columns_by_label():
 def test_validate_rejects_label_shape_mismatch():
     with pytest.raises(ValidationError):
         CaInput(FIXTURE, ROWS[:-1], COLS).validate()
+
+
+def _with(value, *cells):
+    bad = FIXTURE.copy()
+    for cell in cells:
+        bad[cell] = value
+    return bad
+
+
+@pytest.mark.parametrize(
+    "bad, rows",
+    [
+        (_with(-1.0, (0, 0), (3, 2)), ROWS),
+        (_with(np.inf, (1, 1)), ROWS),
+        (_with(0.0, (2, slice(None)), (slice(None), 1)), ROWS),
+        (np.zeros_like(FIXTURE), ROWS),
+        (FIXTURE, ROWS[:-1]),
+    ],
+)
+def test_validate_gives_sparse_input_the_dense_message(bad, rows):
+    with pytest.raises(ValidationError) as dense:
+        CaInput(bad, rows, COLS).validate()
+    with pytest.raises(ValidationError) as sparse_error:
+        CaInput(sparse.csr_matrix(bad), rows, COLS).validate()
+    assert str(sparse_error.value) == str(dense.value)
+
+
+def test_sparse_and_dense_input_give_identical_models():
+    dense = compute_ca(CaInput(FIXTURE, ROWS, COLS), dims=2)
+    counts = sparse.csr_matrix(FIXTURE.astype(np.int64))
+    model = compute_ca(CaInput(counts, ROWS, COLS), dims=2)
+    for name in ("singular_values", "row_coords_principal", "col_coords_principal",
+                 "row_masses", "col_masses"):
+        assert np.array_equal(getattr(model, name), getattr(dense, name)), name
+    assert model.inertia_total == dense.inertia_total
 
 
 def test_dims_out_of_range():

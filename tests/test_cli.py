@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import subprocess
@@ -222,3 +223,18 @@ def test_config_echo_in_manifest_reproduces_the_run(tmp_path, write_mini_config)
     second = tmp_path / "second"
     assert main(["run", "--config", str(replay_conf), "--out", str(second)]) == 0
     assert _artifact_bytes(first) == _artifact_bytes(second)
+
+
+def test_run_mini_corpus_script_runs_the_checked_in_config(tmp_path, capsys):
+    script = Path(__file__).parent.parent / "scripts" / "run_mini_corpus.py"
+    spec = importlib.util.spec_from_file_location("run_mini_corpus", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = tmp_path / "demo"
+    assert module.main(["--out", str(out), "--seed", "7"]) == 0
+    digest = capsys.readouterr().out
+    assert f"config   : {module.CONFIG}" in digest
+    assert "corpus   : 55 documents retained" in digest
+    assert "ca       : 2 dimensions retained" in digest
+    assert "seed = 7\n" in json.loads((out / "manifest.json").read_text())["config"]
+    assert [p.name for p in tmp_path.iterdir()] == ["demo"]

@@ -1,10 +1,12 @@
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from lexevo.config import RunConfig, load_config, parse_config_text, to_config_text
-from lexevo.corpus import DocType
+from lexevo.corpus import CsvSchema, DocType
 from lexevo.errors import ConfigError
+from lexevo.periods import PeriodSpec
 from lexevo.textpipe import WeightScheme
 
 MINIMAL = "input = corpus.csv\n"
@@ -89,6 +91,8 @@ def test_unknown_key_is_named():
 def test_duplicate_key_is_an_error():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("input = a.csv\ninput = b.csv\n")
+    with pytest.raises(ConfigError, match="line 3: duplicate key 'schema.title'"):
+        parse_config_text("input = a.csv\nschema.title = T\nschema.title = U\n")
 
 
 def test_missing_input_is_an_error():
@@ -125,11 +129,29 @@ def test_unknown_schema_field():
         "weighting = idf",
         "seed = often",
         "min_term_freq = 2.5",
+        "periods = A:2000-2010, B:2005-2020",
     ],
 )
 def test_out_of_range_values_are_config_errors(line):
     with pytest.raises(ConfigError):
         parse_config_text(MINIMAL + line + "\n")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", "often"),
+        ("auto_stop_df", "half"),
+        ("builtin_stopwords", "maybe"),
+        ("weighting", "idf"),
+        ("periods", "A:2000"),
+    ],
+)
+def test_unparsable_value_error_names_key_and_value(key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"{MINIMAL}{key} = {value}\n")
+    assert str(err.value).startswith(f"{key} expects ")
+    assert repr(value) in str(err.value)
 
 
 def test_excluded_types_accepts_aliases():
@@ -148,6 +170,60 @@ def test_config_echo_is_a_fixed_point():
     again = parse_config_text(echo)
     assert again == cfg
     assert to_config_text(again) == echo
+
+
+#: A value other than the default for every RunConfig field.
+NON_DEFAULT = {
+    "input": Path("/data/other.csv"),
+    "out": Path("/data/elsewhere"),
+    "schema": CsvSchema(
+        title="Title", abstract="Abstract", year="Year", doc_type="Document Type",
+        keywords=None, citations="Cited by", id="EID",
+    ),
+    "excluded_types": frozenset({DocType.REVIEW, DocType.BOOK_CHAPTER}),
+    "year_min": 1995,
+    "year_max": 2050,
+    "builtin_stopwords": False,
+    "stoplists": (Path("/s/one.txt"), Path("/s/two.txt")),
+    "min_token_len": 4,
+    "min_term_freq": 1,
+    "auto_stop_df": 0.1 + 0.2,
+    "weighting": WeightScheme.TF_IDF,
+    "ca_input": "weighted",
+    "ca_dims": 5,
+    "periods": PeriodSpec.parse("Early:1995-2004, Late:2010-2050"),
+    "top_terms": 12,
+    "top_docs": 1,
+    "period_terms": 4,
+    "cloud_terms": 99,
+    "trend_horizon": 0,
+    "trend_skip_last": 3,
+    "seed": 123,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_every_field_survives_echo_and_parse(name):
+    default = RunConfig(input=Path("/data/in.csv"))
+    value = NON_DEFAULT[name]
+    assert value != getattr(default, name)
+    cfg = replace(default, **{name: value})
+    again = parse_config_text(to_config_text(cfg))
+    assert getattr(again, name) == value
+    assert again == cfg
+
+
+def test_echo_has_one_line_per_field_in_field_order():
+    echo = to_config_text(replace(RunConfig(input=Path("/in.csv")), **NON_DEFAULT))
+    keys = [line.split(" = ")[0] for line in echo.splitlines()]
+    expected = []
+    for f in fields(RunConfig):
+        if f.name == "schema":
+            expected += [f"schema.{c.name}" for c in fields(CsvSchema)]
+        else:
+            expected.append(f.name)
+    assert keys == expected
+    assert len(keys) == len(fields(RunConfig)) - 1 + 7
 
 
 def test_load_config_checks_existence(tmp_path):

@@ -132,6 +132,22 @@ def test_parse_rejects_non_utf8_bytes():
         parse_bibliographic_csv(data, CANONICAL_SCHEMA)
 
 
+def test_utf8_bom_is_not_part_of_the_first_column_name():
+    raw = (
+        "Title,Abstract,Year,Document Type\n"
+        "Caf\u00e9 T,An abstract,2018,Article\n"
+    ).encode("utf-8")
+    schema = CsvSchema(
+        title="Title", abstract="Abstract", year="Year", doc_type="Document Type"
+    )
+    plain = parse_bibliographic_csv(raw, schema)
+    assert plain.documents[0].title == "Caf\u00e9 T"
+    assert parse_bibliographic_csv(b"\xef\xbb\xbf" + raw, schema) == plain
+    assert parse_bibliographic_csv(io.BytesIO(b"\xef\xbb\xbf" + raw), schema) == plain
+    text = "\ufeff" + raw.decode("utf-8")  # a handle opened with encoding="utf-8"
+    assert parse_bibliographic_csv(io.StringIO(text), schema) == plain
+
+
 def test_parse_with_renamed_columns():
     raw = (
         "Title,Abstract,Year,Document Type\n"
