@@ -156,8 +156,6 @@ def characteristic_terms(
     ``period_names`` fixes the set of table rows; by default it is the set
     of period names appearing in the assignment, in first-appearance order.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
     if period_names is None:
         seen: dict[str, None] = {}
         for name in assignment.values():
@@ -168,6 +166,16 @@ def characteristic_terms(
         raise LabelNotFoundError(f"unknown period {period!r}")
 
     names, table = _contingency(dtm, assignment, period_names)
+    return _top_terms(names, table, dtm.terms, period, k)
+
+
+def _top_terms(
+    names: Sequence[str], table: np.ndarray, terms: Sequence[str], period: str, k: int
+) -> list[tuple[str, float]]:
+    """Score one period's row of a period-by-term table (see
+    :func:`characteristic_terms`)."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     p_idx = names.index(period)
     row_totals = table.sum(axis=1)
     if row_totals[p_idx] == 0:
@@ -178,10 +186,8 @@ def characteristic_terms(
     grand = table.sum()
     expected = row_totals[p_idx] * col_totals / grand
     scores = (table[p_idx] - expected) / np.sqrt(expected)
-    order = sorted(
-        range(len(dtm.terms)), key=lambda j: (-scores[j], dtm.terms[j])
-    )
-    return [(dtm.terms[j], float(scores[j])) for j in order[:k]]
+    order = sorted(range(len(terms)), key=lambda j: (-scores[j], terms[j]))
+    return [(terms[j], float(scores[j])) for j in order[:k]]
 
 
 def pioneer_documents(
@@ -220,13 +226,14 @@ def period_report(
     k_docs: int,
 ) -> list[PeriodReport]:
     """One report per configured period; shares are computed against the
-    full corpus size, so shares plus the unassigned share sum to 1."""
+    full corpus size, so shares plus the unassigned share sum to 1. The
+    period-by-term table is built once and scored for every period."""
     assignment = assign_periods(corpus, spec)
-    names = spec.names()
+    names, table = _contingency(dtm, assignment, spec.names())
     reports = []
     for p in spec.periods:
         docs = pioneer_documents(corpus, assignment, p.name, k_docs)
-        terms = characteristic_terms(dtm, assignment, p.name, k_terms, names)
+        terms = _top_terms(names, table, dtm.terms, p.name, k_terms)
         count = sum(1 for v in assignment.values() if v == p.name)
         reports.append(
             PeriodReport(

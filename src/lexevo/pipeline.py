@@ -28,6 +28,8 @@ import logging
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import artifacts
 from . import ca as ca_mod
 from . import periods as periods_mod
@@ -41,7 +43,7 @@ from .corpus import (
     write_corpus_csv,
     write_rejects_report,
 )
-from .errors import DependencyError, InsufficientDataError
+from .errors import DegenerateCorpusError, DependencyError, InsufficientDataError
 from .stopwords import ENGLISH_STOPWORDS
 
 logger = logging.getLogger(__name__)
@@ -62,6 +64,7 @@ A_REJECTS = "rejects.tsv"
 A_VOCAB = "vocabulary.tsv"
 A_DTM = "dtm.tsv"
 A_WEIGHTED = "weighted.tsv"
+A_TOKEN_REPORT = "token_report.json"
 A_TERM_FREQS = "term_frequencies.tsv"
 A_YEARLY = "yearly_counts.tsv"
 A_TYPE_SHARES = "type_shares.tsv"
@@ -81,7 +84,7 @@ A_MANIFEST = "manifest.json"
 
 #: Every artifact a full run writes, keyed by the stage that owns it.
 ARTIFACTS: dict[str, tuple[str, ...]] = {
-    "ingest": (A_CORPUS, A_FILTER_REPORT, A_REJECTS, A_VOCAB, A_DTM, A_WEIGHTED),
+    "ingest": (A_CORPUS, A_FILTER_REPORT, A_REJECTS, A_VOCAB, A_DTM, A_WEIGHTED, A_TOKEN_REPORT),
     "stats": (A_TERM_FREQS, A_YEARLY, A_TYPE_SHARES, A_STATS),
     "ca": (A_CA_COORDS, A_CA_MODEL, A_YEAR_COORDS),
     "periods": (A_PERIODS_JSON, A_PERIODS_MD),
@@ -120,7 +123,8 @@ def _load_dtm_artifact(out: Path) -> textpipe.DocTermMatrix:
 
 
 def stage_ingest(cfg: RunConfig) -> None:
-    """Parse, filter, tokenize; write the corpus, vocabulary and matrices."""
+    """Parse, filter, tokenize once; write the corpus, vocabulary, matrices
+    and the token report (uniqueness statistics, documents pruned from the DTM)."""
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
 
@@ -135,15 +139,15 @@ def stage_ingest(cfg: RunConfig) -> None:
     artifacts.write_json(out / A_FILTER_REPORT, dataclasses.asdict(filtered.provenance))
     write_rejects_report(filtered.rejects, out / A_REJECTS)
 
-    streams = textpipe.tokenize_documents(filtered, cfg.min_token_len)
+    tokenized = textpipe.tokenize_documents(filtered, cfg.min_token_len)
     stoplist: frozenset[str] = (
         ENGLISH_STOPWORDS if cfg.builtin_stopwords else frozenset()
     )
     for path in cfg.stoplists:
         stoplist |= textpipe.load_stoplist(path)
     if cfg.auto_stop_df > 0.0:
-        stoplist |= textpipe.auto_stop_terms(streams, cfg.auto_stop_df)
-    streams = [textpipe.remove_stopwords(s, stoplist) for s in streams]
+        stoplist |= textpipe.auto_stop_terms(tokenized, cfg.auto_stop_df)
+    streams = [textpipe.remove_stopwords(s, stoplist) for s in tokenized]
 
     vocab = textpipe.build_vocabulary(streams, cfg.min_term_freq)
     dtm = textpipe.build_dtm(streams, vocab)
@@ -153,6 +157,13 @@ def stage_ingest(cfg: RunConfig) -> None:
     textpipe.write_counts_tsv(
         weighted.rows, weighted.terms, weighted.values, out / A_WEIGHTED, "weight"
     )
+
+    uniq = textpipe.uniqueness_stats(tokenized)
+    logger.info("ingest: %d of %d documents have no in-vocabulary token and are left out "
+                "of the DTM", len(dtm.pruned_rows), len(tokenized))
+    uniqueness = {**dataclasses.asdict(uniq), "ratio_of_means": uniq.ratio_of_means}
+    report = {"uniqueness": uniqueness, "pruned_documents": list(dtm.pruned_rows)}
+    artifacts.write_json(out / A_TOKEN_REPORT, report)
 
 
 def _trend_series(cfg: RunConfig, series: stats_mod.YearlyCounts):
@@ -175,6 +186,7 @@ def stage_stats(cfg: RunConfig) -> None:
     corpus = _load_corpus_artifact(out)
     vocab = textpipe.read_vocabulary_tsv(_require(out, A_VOCAB))
     filter_report = artifacts.read_json(_require(out, A_FILTER_REPORT))
+    token_report = artifacts.read_json(_require(out, A_TOKEN_REPORT))
 
     table = stats_mod.term_frequency_table(vocab, cfg.top_terms)
     stats_mod.write_term_table_tsv(table, out / A_TERM_FREQS)
@@ -182,9 +194,6 @@ def stage_stats(cfg: RunConfig) -> None:
     stats_mod.write_yearly_counts_tsv(series, out / A_YEARLY)
     shares = stats_mod.publication_type_shares(corpus)
     stats_mod.write_type_shares_tsv(shares, out / A_TYPE_SHARES)
-
-    streams = textpipe.tokenize_documents(corpus, cfg.min_token_len)
-    uniq = textpipe.uniqueness_stats(streams)
 
     fitted_on = _trend_series(cfg, series)
     fit = stats_mod.fit_quadratic_trend(fitted_on)
@@ -198,12 +207,7 @@ def stage_stats(cfg: RunConfig) -> None:
         "filter_report": filter_report,
         "vocabulary_size": len(vocab),
         "top_terms_share": table.selected_share,
-        "uniqueness": {
-            "mean_tokens": uniq.mean_tokens,
-            "mean_unique": uniq.mean_unique,
-            "unique_ratio": uniq.unique_ratio,
-            "ratio_of_means": uniq.ratio_of_means,
-        },
+        "uniqueness": token_report["uniqueness"],
         "trend": {
             "c2": fit.c2,
             "c1": fit.c1,
@@ -217,6 +221,29 @@ def stage_stats(cfg: RunConfig) -> None:
     artifacts.write_json(out / A_STATS, payload)
 
 
+def _weighted_ca_input(
+    dtm: textpipe.DocTermMatrix, scheme: textpipe.WeightScheme
+) -> ca_mod.CaInput:
+    """The weighted DTM as CA input. tf-idf gives a term in every document
+    zero weight (idf = ln 1), and entropy does the same to a term spread
+    evenly over every document. CA cannot take such an all-zero column, or
+    a document left with only such terms; that is a property of the data."""
+    weighted = textpipe.weight_matrix(dtm, scheme)
+    col_sums = np.asarray(weighted.values.sum(axis=0)).ravel()
+    row_sums = np.asarray(weighted.values.sum(axis=1)).ravel()
+    zero_terms = [weighted.terms[j] for j in np.flatnonzero(col_sums == 0)]
+    zero_docs = [weighted.rows[i] for i in np.flatnonzero(row_sums == 0)]
+    if zero_terms or zero_docs:
+        spread = "" if weighted.scheme is textpipe.WeightScheme.TF_IDF else " equally often"
+        raise DegenerateCorpusError(
+            f"ca_input = weighted: {weighted.scheme.value} weighting gives zero weight "
+            f"to term(s) {zero_terms} and document(s) {zero_docs}, because each such "
+            f"term occurs{spread} in all {len(weighted.rows)} documents; "
+            "use ca_input = counts or another weighting"
+        )
+    return ca_mod.CaInput.from_weighted(weighted)
+
+
 def stage_ca(cfg: RunConfig) -> None:
     """Fit the correspondence model and project the year trajectory."""
     out = cfg.out
@@ -225,7 +252,7 @@ def stage_ca(cfg: RunConfig) -> None:
     dtm = _load_dtm_artifact(out)
 
     if cfg.ca_input == "weighted":
-        inp = ca_mod.CaInput.from_weighted(textpipe.weight_matrix(dtm, cfg.weighting))
+        inp = _weighted_ca_input(dtm, cfg.weighting)
     else:
         inp = ca_mod.CaInput.from_counts(dtm)
     model = ca_mod.compute_ca(inp, cfg.ca_dims)

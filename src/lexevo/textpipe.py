@@ -1,14 +1,21 @@
 """Abstract text processing: tokens, stopwords, vocabulary and the
 sparse document-term matrix, plus the pluggable weighting schemes.
 
-Counting is commutative, so per-document work could run in parallel; the
-built structures are immutable afterwards and safe to share.
+All term counting goes through one routine, ``_count_terms``: it gives
+every distinct token an integer column, in order of first appearance, and
+builds one int64 CSR matrix of per-document counts. ``auto_stop_terms``
+reads document frequencies from it (column nnz), ``build_vocabulary``
+reads totals and document frequencies (column sums and nnz), and
+``build_dtm`` selects the vocabulary's columns and prunes the rows left
+empty. The built structures are immutable and safe to share.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from collections import Counter
+import unicodedata
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -84,11 +91,12 @@ class TokenStream:
 
 
 def tokenize(text: str, min_len: int = DEFAULT_MIN_TOKEN_LEN) -> list[str]:
-    """Lowercase, split on anything that is not a Unicode letter, drop
-    fragments shorter than ``min_len``. Order preserved; empty input gives
-    an empty list."""
+    """Normalize to NFC, lowercase, split on anything that is not a Unicode
+    letter, drop fragments shorter than ``min_len``. Order preserved; empty
+    input gives an empty list. NFC composes a letter with its combining
+    accent, so decomposed (NFD) text gives the same tokens as composed."""
     out: list[str] = []
-    for run in _RUN.findall(text.lower()):
+    for run in _RUN.findall(unicodedata.normalize("NFC", text).lower()):
         if run.isalpha():  # the common case: the run is already all letters
             if len(run) >= min_len:
                 out.append(run)
@@ -117,6 +125,22 @@ def load_stoplist(path: str | Path) -> frozenset[str]:
     return frozenset(terms)
 
 
+def _count_terms(streams: Sequence[TokenStream]) -> tuple[dict[str, int], sparse.csr_matrix]:
+    """The one counting routine: every distinct token's column (in order of
+    first appearance) and the int64 CSR matrix of its count in each stream,
+    one row per stream, in canonical form (sorted, summed indices)."""
+    lengths = [len(s.tokens) for s in streams]
+    column: dict[str, int] = defaultdict(itertools.count().__next__)
+    tokens = itertools.chain.from_iterable(s.tokens for s in streams)
+    indices = np.fromiter(map(column.__getitem__, tokens), np.int64, sum(lengths))
+    indptr = np.zeros(len(streams) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    ones = np.ones(len(indices), dtype=np.int64)
+    counts = sparse.csr_matrix((ones, indices, indptr), shape=(len(streams), len(column)))
+    counts.sum_duplicates()
+    return dict(column), counts
+
+
 def auto_stop_terms(
     streams: Sequence[TokenStream], max_doc_fraction: float
 ) -> frozenset[str]:
@@ -129,10 +153,10 @@ def auto_stop_terms(
     n = len(streams)
     if n == 0:
         return frozenset()
-    df: Counter[str] = Counter()
-    for stream in streams:
-        df.update(set(stream.tokens))
-    return frozenset(t for t, d in df.items() if d / n > max_doc_fraction)
+    column, counts = _count_terms(streams)
+    df = np.bincount(counts.indices, minlength=len(column))
+    frequent = df / n > max_doc_fraction
+    return frozenset(t for t, j in column.items() if frequent[j])
 
 
 def remove_stopwords(
@@ -204,22 +228,20 @@ def build_vocabulary(
         raise ValidationError(
             f"min_total_frequency must be >= 1, got {min_total_frequency}"
         )
-    totals: Counter[str] = Counter()
-    df: Counter[str] = Counter()
-    for stream in streams:
-        totals.update(stream.tokens)
-        df.update(set(stream.tokens))
-    kept = [t for t, c in totals.items() if c >= min_total_frequency]
+    column, counts = _count_terms(streams)
+    totals = np.asarray(counts.sum(axis=0)).ravel().tolist()
+    df = np.bincount(counts.indices, minlength=len(column)).tolist()
+    kept = [(t, j) for t, j in column.items() if totals[j] >= min_total_frequency]
     if not kept:
         raise ConfigError(
             f"vocabulary is empty at min_total_frequency={min_total_frequency}"
         )
-    kept.sort(key=lambda t: (-totals[t], t))
+    kept.sort(key=lambda tj: (-totals[tj[1]], tj[0]))
     return Vocabulary(
-        terms=tuple(kept),
-        index={t: i for i, t in enumerate(kept)},
-        doc_frequency={t: df[t] for t in kept},
-        total_frequency={t: totals[t] for t in kept},
+        terms=tuple(t for t, _ in kept),
+        index={t: i for i, (t, _) in enumerate(kept)},
+        doc_frequency={t: df[j] for t, j in kept},
+        total_frequency={t: totals[j] for t, j in kept},
     )
 
 
@@ -270,50 +292,25 @@ def build_dtm(streams: Sequence[TokenStream], vocab: Vocabulary) -> DocTermMatri
     """
     if len(vocab) == 0:
         raise ValidationError("vocabulary is empty")
-    data: list[int] = []
-    indices: list[int] = []
-    indptr: list[int] = [0]
-    kept_rows: list[str] = []
-    pruned: list[str] = []
-    for stream in streams:
-        counts = Counter(t for t in stream.tokens if t in vocab.index)
-        if not counts:
-            pruned.append(stream.doc_id)
-            continue
-        cols = sorted(vocab.index[t] for t in counts)
-        by_col = {vocab.index[t]: c for t, c in counts.items()}
-        indices.extend(cols)
-        data.extend(by_col[c] for c in cols)
-        indptr.append(len(indices))
-        kept_rows.append(stream.doc_id)
-    if not kept_rows:
+    column, counts = _count_terms(streams)
+    kept_terms = [t for t in vocab.terms if t in column]
+    matrix = counts[:, [column[t] for t in kept_terms]]
+    nonempty = np.diff(matrix.indptr) > 0
+    if not nonempty.any():
         raise EmptyMatrixError("every document row was pruned (all tokens OOV)")
-
-    matrix = sparse.csr_matrix(
-        (np.asarray(data, dtype=np.int64), indices, indptr),
-        shape=(len(kept_rows), len(vocab)),
-    )
-    col_margins = np.asarray(matrix.sum(axis=0)).ravel()
-    dead_cols = np.flatnonzero(col_margins == 0)
-    pruned_terms: tuple[str, ...] = ()
-    if dead_cols.size:
-        keep_mask = col_margins > 0
-        pruned_terms = tuple(vocab.terms[j] for j in dead_cols)
-        vocab = _subset_vocabulary(
-            vocab, [t for t, k in zip(vocab.terms, keep_mask) if k]
-        )
-        matrix = sparse.csr_matrix(matrix[:, keep_mask])
-        col_margins = col_margins[keep_mask]
-
-    row_margins = np.asarray(matrix.sum(axis=1)).ravel()
+    matrix = matrix[nonempty]
+    matrix.sort_indices()
+    pruned_terms = tuple(t for t in vocab.terms if t not in column)
+    if pruned_terms:
+        vocab = _subset_vocabulary(vocab, kept_terms)
     return DocTermMatrix(
-        rows=tuple(kept_rows),
+        rows=tuple(s.doc_id for s, k in zip(streams, nonempty) if k),
         vocabulary=vocab,
         counts=matrix,
-        row_margins=row_margins,
-        col_margins=col_margins,
+        row_margins=np.asarray(matrix.sum(axis=1)).ravel(),
+        col_margins=np.asarray(matrix.sum(axis=0)).ravel(),
         grand_total=int(matrix.sum()),
-        pruned_rows=tuple(pruned),
+        pruned_rows=tuple(s.doc_id for s, k in zip(streams, nonempty) if not k),
         pruned_terms=pruned_terms,
     )
 
@@ -444,7 +441,6 @@ def dtm_from_triplets(
     rows: Sequence[str],
     vocab: Vocabulary,
     triplets: Iterable[tuple[str, str, float]],
-    pruned_rows: Sequence[str] = (),
 ) -> DocTermMatrix:
     """Rebuild a DocTermMatrix from a triplet dump and its vocabulary."""
     row_index = {r: i for i, r in enumerate(rows)}
@@ -464,7 +460,6 @@ def dtm_from_triplets(
         row_margins=np.asarray(matrix.sum(axis=1)).ravel(),
         col_margins=np.asarray(matrix.sum(axis=0)).ravel(),
         grand_total=int(matrix.sum()),
-        pruned_rows=tuple(pruned_rows),
     )
 
 

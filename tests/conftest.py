@@ -73,8 +73,8 @@ def mini_dtm(mini_streams):
 def write_mini_config(tmp_path):
     """Factory: write a config for the bundled corpus into tmp_path."""
 
-    def _write(out: Path, seed: int = 7, **extra) -> Path:
-        text = MINI_CONFIG.format(input=MINI_CSV, out=out, seed=seed)
+    def _write(out: Path, seed: int = 7, source: Path = MINI_CSV, **extra) -> Path:
+        text = MINI_CONFIG.format(input=source, out=out, seed=seed)
         for key, value in extra.items():
             text += f"{key} = {value}\n"
         path = tmp_path / f"mini_{len(list(tmp_path.iterdir()))}.conf"

@@ -3,15 +3,17 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from lexevo import stats
+from lexevo import stats, textpipe
 from lexevo.ca import CaInput, compute_ca, write_coordinates_tsv, write_model_json
 from lexevo.cli import main
 from lexevo.pipeline import ARTIFACTS
-from lexevo.textpipe import weight_matrix
+from lexevo.stopwords import ENGLISH_STOPWORDS
+from lexevo.textpipe import tokenize_documents, uniqueness_stats, weight_matrix
 
 ALL_STAGES = ("ingest", "stats", "ca", "periods", "figures")
 
@@ -238,3 +240,131 @@ def test_run_mini_corpus_script_runs_the_checked_in_config(tmp_path, capsys):
     assert "ca       : 2 dimensions retained" in digest
     assert "seed = 7\n" in json.loads((out / "manifest.json").read_text())["config"]
     assert [p.name for p in tmp_path.iterdir()] == ["demo"]
+
+
+def _write_export(path: Path, abstracts: list[str]) -> Path:
+    """A small export in the bundled corpus's layout plus an ``EID`` id
+    column (map it with ``schema.id = EID``); one document per year from 2010."""
+    lines = ["EID,Title,Abstract,Author Keywords,Year,Document Type,Cited by"]
+    lines += [
+        f"e{i},Title {i},{text},,{2010 + i},Article,{i}" for i, text in enumerate(abstracts)
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_stoplist_and_auto_stop_df_vocabulary_matches_a_counter_oracle(
+    tmp_path, write_mini_config, mini_corpus
+):
+    stoplist = tmp_path / "stop.txt"
+    stoplist.write_text("# project terms\nRegistry\nwarehouse\n", encoding="utf-8")
+    extra = {"stoplists": stoplist, "auto_stop_df": 0.5}
+    full, staged = tmp_path / "full", tmp_path / "staged"
+    assert main(["run", "--config", str(write_mini_config(full, **extra))]) == 0
+    staged_config = write_mini_config(staged, **extra)
+    for stage in ALL_STAGES:
+        assert main([stage, "--config", str(staged_config)]) == 0
+    assert _artifact_bytes(full) == _artifact_bytes(staged)
+
+    token_lists = [s.tokens for s in tokenize_documents(mini_corpus, 2)]
+    df = Counter(t for tokens in token_lists for t in set(tokens))
+    frequent = {t for t, d in df.items() if d / len(token_lists) > 0.5}
+    stopped = ENGLISH_STOPWORDS | {"registry", "warehouse"} | frequent
+    totals = Counter(t for tokens in token_lists for t in tokens if t not in stopped)
+    dfs = Counter(t for tokens in token_lists for t in set(tokens) if t not in stopped)
+    kept = sorted((t for t, c in totals.items() if c >= 5), key=lambda t: (-totals[t], t))
+    expected = ["term\ttotal_frequency\tdoc_frequency"]
+    expected += [f"{t}\t{totals[t]}\t{dfs[t]}" for t in kept]
+    assert (full / "vocabulary.tsv").read_text(encoding="utf-8").splitlines() == expected
+
+    # Both stop sources removed terms that the default run keeps.
+    default = tmp_path / "default"
+    assert main(["ingest", "--config", str(write_mini_config(default))]) == 0
+    vocabulary = (default / "vocabulary.tsv").read_text(encoding="utf-8").splitlines()
+    default_terms = {line.split("\t")[0] for line in vocabulary}
+    assert {"registry", "warehouse"} <= default_terms
+    assert frequent & default_terms
+
+
+def test_stats_reads_uniqueness_from_ingest_without_tokenizing(
+    tmp_path, write_mini_config, mini_corpus, monkeypatch
+):
+    calls = []
+    tokenize = textpipe.tokenize_documents
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return tokenize(*args, **kwargs)
+
+    monkeypatch.setattr(textpipe, "tokenize_documents", counted)
+    full = tmp_path / "full"
+    assert main(["run", "--config", str(write_mini_config(full))]) == 0
+    assert len(calls) == 1
+
+    staged = tmp_path / "staged"
+    config = write_mini_config(staged)
+    assert main(["ingest", "--config", str(config)]) == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("stats must not tokenize the corpus")
+
+    monkeypatch.setattr(textpipe, "tokenize_documents", forbidden)
+    assert main(["stats", "--config", str(config)]) == 0
+    assert (staged / "stats.json").read_bytes() == (full / "stats.json").read_bytes()
+
+    uniq = uniqueness_stats(tokenize(mini_corpus, 2))
+    stats_json = json.loads((staged / "stats.json").read_text(encoding="utf-8"))
+    token_report = json.loads((staged / "token_report.json").read_text(encoding="utf-8"))
+    assert stats_json["uniqueness"] == token_report["uniqueness"] == {
+        "mean_tokens": uniq.mean_tokens,
+        "mean_unique": uniq.mean_unique,
+        "unique_ratio": uniq.unique_ratio,
+        "ratio_of_means": uniq.ratio_of_means,
+    }
+
+
+def test_documents_left_out_of_the_dtm_are_recorded(tmp_path, write_mini_config, capsys):
+    source = _write_export(
+        tmp_path / "export.csv",
+        ["alpha beta alpha beta gamma"] * 3 + ["rare words only"],
+    )
+    out = tmp_path / "out"
+    config = write_mini_config(out, source=source, **{"schema.id": "EID"})
+    assert main(["ingest", "--config", str(config)]) == 0
+    report = json.loads((out / "token_report.json").read_text(encoding="utf-8"))
+    assert report["pruned_documents"] == ["e3"]
+    assert "1 of 4 documents have no in-vocabulary token" in capsys.readouterr().err
+    assert "e3\t" not in (out / "dtm.tsv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "weighting, cause",
+    [("tf-idf", "occurs in all"), ("entropy", "occurs equally often in all")],
+    ids=["tf-idf", "entropy"],
+)
+def test_term_weighted_zero_everywhere_is_a_data_error(
+    tmp_path, write_mini_config, capsys, weighting, cause
+):
+    # "common" is in every document, and equally often (p = 1/4 is exact,
+    # so the entropy factor comes out exactly 0).
+    source = _write_export(
+        tmp_path / "export.csv",
+        [
+            "common common alpha alpha alpha",
+            "common common alpha alpha beta",
+            "common common beta beta gamma gamma gamma",
+            "common common beta beta gamma gamma",
+        ],
+    )
+    extra = {"schema.id": "EID", "weighting": weighting, "ca_input": "weighted"}
+    out = tmp_path / "out"
+    config = write_mini_config(out, source=source, **extra)
+    assert main(["ingest", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["ca", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert (
+        f"{weighting} weighting gives zero weight to term(s) ['common'] and document(s) [], "
+        f"because each such term {cause} 4 documents"
+    ) in err
+    assert main(["run", "--config", str(config)]) == 2

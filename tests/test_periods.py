@@ -252,6 +252,10 @@ def test_period_report_on_bundled_corpus(mini_corpus, mini_dtm, mini_expected):
     got = {r.name: r.doc_count for r in reports}
     assert got == mini_expected["period_doc_counts"]
     assert sum(r.share_of_corpus for r in reports) == pytest.approx(1.0)
+    assignment = assign_periods(mini_corpus, DEFAULT_PERIOD_SPEC)
+    for r in reports:
+        alone = characteristic_terms(mini_dtm, assignment, r.name, 5, DEFAULT_PERIOD_SPEC.names())
+        assert list(r.characteristic_terms) == alone
 
 
 def test_periods_json_schema():

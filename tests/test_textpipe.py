@@ -1,5 +1,6 @@
 import io
 import math
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -53,6 +54,18 @@ def test_tokenize_digits_and_underscores_break_tokens():
 
 def test_tokenize_keeps_accented_letters_together():
     assert tokenize("salud pública año") == ["salud", "pública", "año"]
+
+
+def test_tokenize_composes_decomposed_accents():
+    decomposed = unicodedata.normalize("NFD", "naïve salud pública")
+    assert tokenize(decomposed) == ["naïve", "salud", "pública"]
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from("naïveÉcoleñüÅç \u0301\u0308"), st.characters()),
+               max_size=60))
+def test_tokenize_ignores_the_normalization_form(text):
+    nfc, nfd = unicodedata.normalize("NFC", text), unicodedata.normalize("NFD", text)
+    assert tokenize(nfc) == tokenize(nfd)
 
 
 def test_tokenize_min_length():
@@ -220,6 +233,9 @@ def test_build_dtm_counts_match_counter_oracle():
     )
     vocab = build_vocabulary(streams, min_total_frequency=1)
     dtm = build_dtm(streams, vocab)
+    # Vocabulary order (aa, cc, bb, dd) is not first-appearance order, yet
+    # the matrix stays canonical, like a CSR built row by row.
+    assert dtm.counts.has_canonical_format
     dense = dtm.counts.toarray()
     for i, stream in enumerate(streams):
         counts = Counter(stream.tokens)
