@@ -2,10 +2,10 @@
 
 ``lexevo <subcommand> --config FILE [--out DIR] [--seed N]`` where the
 subcommand is ``run`` (everything) or one stage of the pipeline:
-``ingest``, ``stats``, ``ca``, ``periods``, ``figures``. Stages read the
-artifacts earlier stages wrote into the output directory, so they can be
-re-run individually; a staged run and a full run produce identical
-artifacts.
+``ingest``, ``stats``, ``ca``, ``periods``, ``figures``. A stage
+subcommand reads the artifacts earlier stages wrote into the output
+directory, so stages can be re-run individually; ``run`` hands each
+stage's outputs to the next in memory. Both produce identical artifacts.
 
 All diagnostics go to stderr. Exit codes: 0 success, 1 invalid
 configuration or input shape, 2 data prevents the computation, 3

@@ -1,14 +1,19 @@
 """Staged pipeline orchestration.
 
-The run is split into five stages — ingest, stats, ca, periods, figures —
-each of which reads its inputs from the artifacts the previous stages
-left in the output directory, never from in-memory state. Running the
-stages one at a time therefore produces byte-identical artifacts to a
-single end-to-end run, and any stage can be re-run in isolation. A
-missing upstream artifact raises :class:`DependencyError` naming the
-subcommand that produces it, and so does a malformed one (a TSV row with
-the wrong number of cells, JSON that does not parse), naming the file and
-line; the CLI exits 1 for both.
+The run is split into five stages — ingest, stats, ca, periods, figures.
+A stage gets every input through a :class:`Workspace` on the output
+directory: ``ws[name]`` is the object this process stored when it wrote
+that artifact, or else the artifact parsed once from disk. ``lexevo run``
+threads one workspace through all five stages, so it hands each stage's
+outputs forward in memory and parses nothing it wrote; a stage subcommand
+starts with an empty workspace and parses what earlier stages left in the
+directory. Either way the artifacts are byte-identical, and any stage can
+be re-run in isolation. A missing upstream artifact raises
+:class:`DependencyError` naming the subcommand that produces it, and so
+does a malformed one (a TSV row with the wrong number of cells, JSON that
+does not parse, a ``dtm.tsv`` line whose term is not in ``vocabulary.tsv``
+or whose count is not an integer), naming the file and line; the CLI exits
+1 for both.
 
 Every artifact is written through :mod:`lexevo.artifacts`, atomically: to
 a temporary file in the output directory that then replaces the artifact.
@@ -25,8 +30,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import logging
+import sys
 import time
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -50,6 +57,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "ARTIFACTS",
+    "Workspace",
     "stage_ingest",
     "stage_stats",
     "stage_ca",
@@ -97,36 +105,92 @@ _PRODUCER = {
 }
 
 
-def _require(out: Path, artifact: str) -> Path:
-    path = out / artifact
-    if not path.is_file():
-        producer = _PRODUCER[artifact]
-        raise DependencyError(
-            f"missing artifact {artifact!r} in {out}; "
-            f"run 'lexevo {producer}' first"
-        )
-    return path
+class Workspace:
+    """The artifacts of one output directory, each parsed at most once.
+
+    ``ws[name]`` returns the object this process stored with
+    ``ws[name] = obj`` when it wrote the artifact; otherwise it parses the
+    artifact through ``_READERS`` and keeps the result. Only artifacts
+    that a stage reads can be stored.
+    """
+
+    def __init__(self, out: Path) -> None:
+        self.out = out
+        self._objects: dict[str, Any] = {}
+
+    def path(self, name: str) -> Path:
+        """The artifact's path; :class:`DependencyError` if it is missing."""
+        path = self.out / name
+        if not path.is_file():
+            raise DependencyError(
+                f"missing artifact {name!r} in {self.out}; "
+                f"run 'lexevo {_PRODUCER[name]}' first"
+            )
+        return path
+
+    def __getitem__(self, name: str) -> Any:
+        if name not in self._objects:
+            self._objects[name] = _READERS[name](self)
+        return self._objects[name]
+
+    def __setitem__(self, name: str, obj: Any) -> None:
+        if name not in _READERS:
+            raise KeyError(f"no stage reads {name!r}")
+        self._objects[name] = obj
+
+
+def _workspace(cfg: RunConfig, ws: Workspace | None) -> Workspace:
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    return Workspace(cfg.out) if ws is None else ws
+
+
+#: corpus.csv holds only documents that ingest kept, so it is read back
+#: without a year window.
+_ANY_YEAR = (-sys.maxsize, sys.maxsize)
+
+
+def _read_dtm(ws: Workspace) -> textpipe.DocTermMatrix:
+    vocab = ws[A_VOCAB]
+    path = ws.path(A_DTM)
+    rows, triplets = textpipe.read_counts_tsv(path)
+    return textpipe.dtm_from_triplets(rows, vocab, triplets, path)
+
+
+def _read_yearly(ws: Workspace) -> stats_mod.YearlyCounts:
+    rows = list(artifacts.read_tsv(ws.path(A_YEARLY)))
+    return stats_mod.YearlyCounts(int(rows[0][0]), tuple(int(c) for _, c in rows))
+
+
+#: The one reader of each artifact a stage reads: the object it parses to
+#: is the one its producer stores. ``ca_model.json`` stands for the model
+#: rebuilt from it and ``ca_coords.tsv``.
+_READERS: dict[str, Callable[[Workspace], Any]] = {
+    A_CORPUS: lambda ws: load_corpus_csv(
+        ws.path(A_CORPUS), CANONICAL_SCHEMA, year_window=_ANY_YEAR
+    ),
+    A_FILTER_REPORT: lambda ws: artifacts.read_json(ws.path(A_FILTER_REPORT)),
+    A_VOCAB: lambda ws: textpipe.read_vocabulary_tsv(ws.path(A_VOCAB)),
+    A_DTM: _read_dtm,
+    A_TOKEN_REPORT: lambda ws: artifacts.read_json(ws.path(A_TOKEN_REPORT)),
+    A_YEARLY: _read_yearly,
+    A_TYPE_SHARES: lambda ws: [
+        (doc_type, float(share)) for doc_type, share in artifacts.read_tsv(ws.path(A_TYPE_SHARES))
+    ],
+    A_STATS: lambda ws: artifacts.read_json(ws.path(A_STATS)),
+    A_CA_MODEL: lambda ws: ca_mod.read_model_artifacts(ws.path(A_CA_COORDS), ws.path(A_CA_MODEL)),
+    A_YEAR_COORDS: lambda ws: ca_mod.read_year_coords_tsv(ws.path(A_YEAR_COORDS)),
+}
 
 
 def _write_svg(path: Path, svg: bytes) -> None:
     artifacts.write_text(path, svg.decode("utf-8"))
 
 
-def _load_corpus_artifact(out: Path):
-    return load_corpus_csv(_require(out, A_CORPUS), CANONICAL_SCHEMA)
-
-
-def _load_dtm_artifact(out: Path) -> textpipe.DocTermMatrix:
-    vocab = textpipe.read_vocabulary_tsv(_require(out, A_VOCAB))
-    rows, triplets = textpipe.read_counts_tsv(_require(out, A_DTM))
-    return textpipe.dtm_from_triplets(rows, vocab, triplets)
-
-
-def stage_ingest(cfg: RunConfig) -> None:
+def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
     """Parse, filter, tokenize once; write the corpus, vocabulary, matrices
     and the token report (uniqueness statistics, documents pruned from the DTM)."""
-    out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
+    ws = _workspace(cfg, ws)
+    out = ws.out
 
     corpus = load_corpus_csv(cfg.input, cfg.schema, year_window=cfg.year_window)
     filtered = filter_corpus(corpus, cfg.excluded_types)
@@ -136,7 +200,9 @@ def stage_ingest(cfg: RunConfig) -> None:
         filtered.provenance.retained,
     )
     write_corpus_csv(filtered, out / A_CORPUS)
-    artifacts.write_json(out / A_FILTER_REPORT, dataclasses.asdict(filtered.provenance))
+    ws[A_CORPUS] = filtered
+    ws[A_FILTER_REPORT] = dataclasses.asdict(filtered.provenance)
+    artifacts.write_json(out / A_FILTER_REPORT, ws[A_FILTER_REPORT])
     write_rejects_report(filtered.rejects, out / A_REJECTS)
 
     tokenized = textpipe.tokenize_documents(filtered, cfg.min_token_len)
@@ -153,6 +219,7 @@ def stage_ingest(cfg: RunConfig) -> None:
     dtm = textpipe.build_dtm(streams, vocab)
     textpipe.write_vocabulary_tsv(dtm.vocabulary, out / A_VOCAB)
     textpipe.write_counts_tsv(dtm.rows, dtm.terms, dtm.counts, out / A_DTM)
+    ws[A_VOCAB], ws[A_DTM] = dtm.vocabulary, dtm
     weighted = textpipe.weight_matrix(dtm, cfg.weighting)
     textpipe.write_counts_tsv(
         weighted.rows, weighted.terms, weighted.values, out / A_WEIGHTED, "weight"
@@ -162,8 +229,8 @@ def stage_ingest(cfg: RunConfig) -> None:
     logger.info("ingest: %d of %d documents have no in-vocabulary token and are left out "
                 "of the DTM", len(dtm.pruned_rows), len(tokenized))
     uniqueness = {**dataclasses.asdict(uniq), "ratio_of_means": uniq.ratio_of_means}
-    report = {"uniqueness": uniqueness, "pruned_documents": list(dtm.pruned_rows)}
-    artifacts.write_json(out / A_TOKEN_REPORT, report)
+    ws[A_TOKEN_REPORT] = {"uniqueness": uniqueness, "pruned_documents": list(dtm.pruned_rows)}
+    artifacts.write_json(out / A_TOKEN_REPORT, ws[A_TOKEN_REPORT])
 
 
 def _trend_series(cfg: RunConfig, series: stats_mod.YearlyCounts):
@@ -179,21 +246,23 @@ def _trend_series(cfg: RunConfig, series: stats_mod.YearlyCounts):
     return stats_mod.YearlyCounts(series.first_year, series.counts[:keep])
 
 
-def stage_stats(cfg: RunConfig) -> None:
+def stage_stats(cfg: RunConfig, ws: Workspace | None = None) -> None:
     """Descriptive tables plus the fitted growth trend (stats.json)."""
-    out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
-    corpus = _load_corpus_artifact(out)
-    vocab = textpipe.read_vocabulary_tsv(_require(out, A_VOCAB))
-    filter_report = artifacts.read_json(_require(out, A_FILTER_REPORT))
-    token_report = artifacts.read_json(_require(out, A_TOKEN_REPORT))
+    ws = _workspace(cfg, ws)
+    out = ws.out
+    corpus = ws[A_CORPUS]
+    vocab = ws[A_VOCAB]
+    filter_report = ws[A_FILTER_REPORT]
+    uniqueness = ws[A_TOKEN_REPORT]["uniqueness"]
 
     table = stats_mod.term_frequency_table(vocab, cfg.top_terms)
     stats_mod.write_term_table_tsv(table, out / A_TERM_FREQS)
     series = stats_mod.publications_per_year(corpus)
     stats_mod.write_yearly_counts_tsv(series, out / A_YEARLY)
+    ws[A_YEARLY] = series
     shares = stats_mod.publication_type_shares(corpus)
     stats_mod.write_type_shares_tsv(shares, out / A_TYPE_SHARES)
+    ws[A_TYPE_SHARES] = [(doc_type.value, share) for doc_type, share in shares]
 
     fitted_on = _trend_series(cfg, series)
     fit = stats_mod.fit_quadratic_trend(fitted_on)
@@ -202,12 +271,12 @@ def stage_stats(cfg: RunConfig) -> None:
         {"year": year, "value": fit.predict(year)}
         for year in range(last_fitted + 1, last_fitted + 1 + cfg.trend_horizon)
     ]
-    payload = {
+    ws[A_STATS] = {
         "documents": len(corpus.documents),
         "filter_report": filter_report,
         "vocabulary_size": len(vocab),
         "top_terms_share": table.selected_share,
-        "uniqueness": token_report["uniqueness"],
+        "uniqueness": uniqueness,
         "trend": {
             "c2": fit.c2,
             "c1": fit.c1,
@@ -218,7 +287,7 @@ def stage_stats(cfg: RunConfig) -> None:
         },
         "forecasts": forecasts,
     }
-    artifacts.write_json(out / A_STATS, payload)
+    artifacts.write_json(out / A_STATS, ws[A_STATS])
 
 
 def _weighted_ca_input(
@@ -244,12 +313,12 @@ def _weighted_ca_input(
     return ca_mod.CaInput.from_weighted(weighted)
 
 
-def stage_ca(cfg: RunConfig) -> None:
+def stage_ca(cfg: RunConfig, ws: Workspace | None = None) -> None:
     """Fit the correspondence model and project the year trajectory."""
-    out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
-    corpus = _load_corpus_artifact(out)
-    dtm = _load_dtm_artifact(out)
+    ws = _workspace(cfg, ws)
+    out = ws.out
+    corpus = ws[A_CORPUS]
+    dtm = ws[A_DTM]
 
     if cfg.ca_input == "weighted":
         inp = _weighted_ca_input(dtm, cfg.weighting)
@@ -258,20 +327,22 @@ def stage_ca(cfg: RunConfig) -> None:
     model = ca_mod.compute_ca(inp, cfg.ca_dims)
     ca_mod.write_coordinates_tsv(model, out / A_CA_COORDS)
     ca_mod.write_model_json(model, out / A_CA_MODEL)
+    ws[A_CA_MODEL] = model
 
     projections = [
         ca_mod.project_supplementary(model, profile, str(year))
         for year, profile in ca_mod.aggregate_year_profiles(dtm, corpus)
     ]
     ca_mod.write_year_coords_tsv(projections, out / A_YEAR_COORDS)
+    ws[A_YEAR_COORDS] = projections
 
 
-def stage_periods(cfg: RunConfig) -> None:
+def stage_periods(cfg: RunConfig, ws: Workspace | None = None) -> None:
     """Per-period characteristic terms and pioneer documents."""
-    out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
-    corpus = _load_corpus_artifact(out)
-    dtm = _load_dtm_artifact(out)
+    ws = _workspace(cfg, ws)
+    out = ws.out
+    corpus = ws[A_CORPUS]
+    dtm = ws[A_DTM]
     reports = periods_mod.period_report(
         corpus, dtm, cfg.periods, cfg.period_terms, cfg.top_docs
     )
@@ -281,12 +352,12 @@ def stage_periods(cfg: RunConfig) -> None:
     )
 
 
-def stage_figures(cfg: RunConfig) -> None:
+def stage_figures(cfg: RunConfig, ws: Workspace | None = None) -> None:
     """Render every SVG from the tabular artifacts."""
-    out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
+    ws = _workspace(cfg, ws)
+    out = ws.out
 
-    vocab = textpipe.read_vocabulary_tsv(_require(out, A_VOCAB))
+    vocab = ws[A_VOCAB]
     table = stats_mod.term_frequency_table(vocab, cfg.top_terms)
     bars = [(r.term, float(r.frequency)) for r in table.rows]
     _write_svg(
@@ -297,30 +368,23 @@ def stage_figures(cfg: RunConfig) -> None:
         ),
     )
 
-    type_bars = [
-        (name, float(share))
-        for name, share in artifacts.read_tsv(_require(out, A_TYPE_SHARES))
-    ]
     _write_svg(
         out / A_TYPE_BARS,
         viz.render_bar_chart(
-            type_bars,
+            ws[A_TYPE_SHARES],
             viz.ChartOptions(title="Document types", height=240),
         ),
     )
 
-    stats_payload = artifacts.read_json(_require(out, A_STATS))
-    yearly = list(artifacts.read_tsv(_require(out, A_YEARLY)))
-    t = stats_payload["trend"]
+    t = ws[A_STATS]["trend"]
+    series = ws[A_YEARLY]
     fit = stats_mod.TrendFit(
         c2=t["c2"], c1=t["c1"], c0=t["c0"],
         r_squared=t["r_squared"], first_year=t["first_year"],
     )
-    fitted_through = t["fitted_through"]
-    first_year = int(yearly[0][0])
     observed = stats_mod.YearlyCounts(
-        first_year,
-        tuple(int(c) for _, c in yearly[: fitted_through - first_year + 1]),
+        series.first_year,
+        series.counts[: t["fitted_through"] - series.first_year + 1],
     )
     _write_svg(
         out / A_TREND,
@@ -332,15 +396,11 @@ def stage_figures(cfg: RunConfig) -> None:
         ),
     )
 
-    model = ca_mod.read_model_artifacts(
-        _require(out, A_CA_COORDS), _require(out, A_CA_MODEL)
-    )
-    projections = ca_mod.read_year_coords_tsv(_require(out, A_YEAR_COORDS))
     _write_svg(
         out / A_CA_MAP,
         viz.render_ca_map(
-            model,
-            projections,
+            ws[A_CA_MODEL],
+            ws[A_YEAR_COORDS],
             viz.ChartOptions(title="Term map with year trajectory"),
         ),
     )
@@ -383,7 +443,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
     Returns the output directory.
     """
     out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
+    ws = _workspace(cfg, None)
     manifest: dict = {
         "tool": "lexevo",
         "config": to_config_text(cfg),
@@ -396,7 +456,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
     try:
         for name, fn in _STAGES:
             start = time.perf_counter()
-            fn(cfg)  # type: ignore[operator]
+            fn(cfg, ws)  # type: ignore[operator]
             manifest["stages"].append(
                 {
                     "name": name,
@@ -411,14 +471,13 @@ def run_pipeline(cfg: RunConfig) -> Path:
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         artifacts.write_json(out / A_MANIFEST, manifest)
         raise
-    model_meta = artifacts.read_json(out / A_CA_MODEL)
-    stats_payload = artifacts.read_json(out / A_STATS)
+    model = ws[A_CA_MODEL]
     manifest["summary"] = {
-        "documents": stats_payload["documents"],
-        "vocabulary_size": stats_payload["vocabulary_size"],
-        "dims": model_meta["dims"],
-        "singular_values": model_meta["singular_values"],
-        "inertia_shares": model_meta["inertia_shares"],
+        "documents": ws[A_STATS]["documents"],
+        "vocabulary_size": ws[A_STATS]["vocabulary_size"],
+        "dims": model.dims,
+        "singular_values": model.singular_values.tolist(),
+        "inertia_shares": model.inertia_shares.tolist(),
     }
     artifacts.write_json(out / A_MANIFEST, manifest)
     return out

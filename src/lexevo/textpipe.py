@@ -18,8 +18,9 @@ import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -29,6 +30,7 @@ from .corpus import Corpus
 from .errors import (
     ConfigError,
     DegenerateCorpusError,
+    DependencyError,
     EmptyMatrixError,
     UndefinedStatisticError,
     ValidationError,
@@ -259,23 +261,32 @@ def _subset_vocabulary(vocab: Vocabulary, keep: Sequence[str]) -> Vocabulary:
 class DocTermMatrix:
     """Sparse counts with marginals; rows are documents, columns terms.
 
-    Invariants (checked at construction time by the builders): marginals
-    equal the row/column sums, the grand total equals the sum of all
-    counts, and no row or column is all zero.
+    The marginals and the grand total are the sums of ``counts``, computed
+    once on first use. ``build_dtm`` guarantees that no row or column is
+    all zero.
     """
 
     rows: tuple[str, ...]
     vocabulary: Vocabulary
     counts: sparse.csr_matrix
-    row_margins: np.ndarray
-    col_margins: np.ndarray
-    grand_total: int
     pruned_rows: tuple[str, ...] = ()
     pruned_terms: tuple[str, ...] = ()
 
     @property
     def terms(self) -> tuple[str, ...]:
         return self.vocabulary.terms
+
+    @cached_property
+    def row_margins(self) -> np.ndarray:
+        return np.asarray(self.counts.sum(axis=1)).ravel()
+
+    @cached_property
+    def col_margins(self) -> np.ndarray:
+        return np.asarray(self.counts.sum(axis=0)).ravel()
+
+    @cached_property
+    def grand_total(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -307,9 +318,6 @@ def build_dtm(streams: Sequence[TokenStream], vocab: Vocabulary) -> DocTermMatri
         rows=tuple(s.doc_id for s, k in zip(streams, nonempty) if k),
         vocabulary=vocab,
         counts=matrix,
-        row_margins=np.asarray(matrix.sum(axis=1)).ravel(),
-        col_margins=np.asarray(matrix.sum(axis=0)).ravel(),
-        grand_total=int(matrix.sum()),
         pruned_rows=tuple(s.doc_id for s, k in zip(streams, nonempty) if not k),
         pruned_terms=pruned_terms,
     )
@@ -344,20 +352,22 @@ def weight_matrix(dtm: DocTermMatrix, scheme: WeightScheme) -> WeightedMatrix:
                          with p_ij = f_ij / f_.j and 0 ln 0 = 0
 
     The sparsity pattern is preserved or shrunk (weights may reach zero,
-    e.g. a term present in every document under tf-idf), never grown.
+    e.g. a term present in every document under tf-idf), never grown. A
+    term with the same count in all N documents has entropy exactly ln N,
+    so its entropy factor is set to exactly 0 rather than left to rounding.
     """
     scheme = WeightScheme(scheme)
     coo = dtm.counts.tocoo()
     f = coo.data.astype(np.float64)
     ri, cj = coo.row, coo.col
     n_rows = len(dtm.rows)
+    df = np.bincount(cj, minlength=len(dtm.terms))
 
     if scheme is WeightScheme.RELATIVE_FREQUENCY:
         vals = f / dtm.row_margins[ri]
     elif scheme is WeightScheme.TF_IDF:
         if n_rows == 1:
             raise DegenerateCorpusError("tf-idf is undefined for a single document")
-        df = np.bincount(cj, minlength=len(dtm.terms))
         vals = (f / dtm.row_margins[ri]) * np.log(n_rows / df[cj])
     else:
         if n_rows == 1:
@@ -366,6 +376,9 @@ def weight_matrix(dtm: DocTermMatrix, scheme: WeightScheme) -> WeightedMatrix:
         ent = np.zeros(len(dtm.terms))
         np.add.at(ent, cj, p * np.log(p))
         factor = np.maximum(1.0 + ent / np.log(n_rows), 0.0)
+        fmax = np.zeros(len(dtm.terms))
+        np.maximum.at(fmax, cj, f)
+        factor[(df == n_rows) & (dtm.col_margins == n_rows * fmax)] = 0.0
         vals = np.log1p(f) * factor[cj]
 
     values = sparse.csr_matrix((vals, (ri, cj)), shape=dtm.counts.shape)
@@ -425,7 +438,7 @@ def read_counts_tsv(
     src: str | Path | IO[str],
 ) -> tuple[list[str], list[tuple[str, str, float]]]:
     """Read a triplet dump; returns (row ids in first-appearance order,
-    triplets)."""
+    triplets in file order, so triplet k is on line k + 2)."""
     rows: list[str] = []
     seen: set[str] = set()
     triplets: list[tuple[str, str, float]] = []
@@ -440,27 +453,33 @@ def read_counts_tsv(
 def dtm_from_triplets(
     rows: Sequence[str],
     vocab: Vocabulary,
-    triplets: Iterable[tuple[str, str, float]],
+    triplets: Sequence[tuple[str, str, float]],
+    source: str | Path = "dtm.tsv",
 ) -> DocTermMatrix:
-    """Rebuild a DocTermMatrix from a triplet dump and its vocabulary."""
+    """Rebuild a DocTermMatrix from a triplet dump and its vocabulary.
+
+    A term missing from the vocabulary or a count that is not an integer
+    raises :class:`DependencyError` naming ``source`` and the line of the
+    offending triplet (triplet k is on line k + 2, under the header).
+    """
     row_index = {r: i for i, r in enumerate(rows)}
-    data, ris, cjs = [], [], []
-    for doc_id, term, value in triplets:
-        data.append(int(value))
-        ris.append(row_index[doc_id])
-        cjs.append(vocab.index[term])
+    n = len(triplets)
+    ris = np.fromiter((row_index[d] for d, _, _ in triplets), np.int64, n)
+    cjs = np.fromiter((vocab.index.get(t, -1) for _, t, _ in triplets), np.int64, n)
+    values = np.fromiter((v for _, _, v in triplets), np.float64, n)
+    bad = (cjs < 0) | ~np.isfinite(values) | (values != np.trunc(values))
+    if bad.any():
+        k = int(np.argmax(bad))
+        _, term, value = triplets[k]
+        problem = (
+            f"term {term!r} is not in the vocabulary" if cjs[k] < 0
+            else f"count {value!r} is not an integer"
+        )
+        raise DependencyError(f"malformed artifact {source}: line {k + 2}: {problem}")
     matrix = sparse.csr_matrix(
-        (np.asarray(data, dtype=np.int64), (ris, cjs)),
-        shape=(len(rows), len(vocab)),
+        (values.astype(np.int64), (ris, cjs)), shape=(len(rows), len(vocab))
     )
-    return DocTermMatrix(
-        rows=tuple(rows),
-        vocabulary=vocab,
-        counts=matrix,
-        row_margins=np.asarray(matrix.sum(axis=1)).ravel(),
-        col_margins=np.asarray(matrix.sum(axis=0)).ravel(),
-        grand_total=int(matrix.sum()),
-    )
+    return DocTermMatrix(rows=tuple(rows), vocabulary=vocab, counts=matrix)
 
 
 def group_sum(counts: sparse.spmatrix, group_index: Sequence[int], n_groups: int) -> np.ndarray:

@@ -188,3 +188,57 @@ def test_dense_guard_detects_calls_outside_the_allowed_functions(tmp_path):
         "ca.inner:8",
         "ca.group_sum:11",
     ]
+
+
+# --- stages read artifacts only through the workspace ---------------------------
+
+_READER_CALLS = {
+    "read_json", "read_tsv", "load_corpus_csv", "read_counts_tsv",
+    "read_vocabulary_tsv", "read_model_artifacts", "read_year_coords_tsv",
+}
+
+
+def _direct_reads(path: Path) -> list[str]:
+    """Reader calls inside a ``stage_*`` or ``run_pipeline`` body, as
+    ``function:line``. ``load_corpus_csv(cfg.input, ...)`` reads the run's
+    input, not an artifact, and is allowed."""
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, ast.FunctionDef) or not (
+            fn.name.startswith("stage_") or fn.name == "run_pipeline"
+        ):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            reads_input = node.args and ast.unparse(node.args[0]) == "cfg.input"
+            if name in _READER_CALLS and not (name == "load_corpus_csv" and reads_input):
+                found.append(f"{fn.name}:{node.lineno}")
+    return found
+
+
+def test_stages_read_artifacts_only_through_the_reader_table():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules, SRC
+    assert [v for p in modules for v in _direct_reads(p)] == []
+
+
+def test_read_guard_detects_reader_calls_in_stage_bodies(tmp_path):
+    sample = tmp_path / "pipeline.py"
+    sample.write_text(
+        "def stage_x(cfg, ws=None):\n"
+        "    corpus = ws['corpus.csv']\n"
+        "    a = artifacts.read_json(p)\n"
+        "    b = load_corpus_csv(cfg.input, schema)\n"
+        "    c = load_corpus_csv(out / 'corpus.csv', schema)\n"
+        "    d = [textpipe.read_counts_tsv(p) for p in paths]\n"
+        "def run_pipeline(cfg):\n"
+        "    model = read_model_artifacts(a, b)\n"
+        "_READERS = {'x': lambda ws: artifacts.read_tsv(ws.path('x'))}\n"
+        "def _read_dtm(ws):\n"
+        "    return textpipe.read_counts_tsv(ws.path('dtm.tsv'))\n",
+        encoding="utf-8",
+    )
+    assert _direct_reads(sample) == ["stage_x:3", "stage_x:5", "stage_x:6", "run_pipeline:8"]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lexevo import stats, textpipe
+from lexevo import artifacts, pipeline, stats, textpipe
 from lexevo.ca import CaInput, compute_ca, write_coordinates_tsv, write_model_json
 from lexevo.cli import main
 from lexevo.pipeline import ARTIFACTS
@@ -170,12 +170,33 @@ def _write_unterminated_json(path: Path) -> int:
     return 2
 
 
+def _drop_last_vocabulary_term(dtm: Path) -> int:
+    """Drop the last term from the vocabulary.tsv beside ``dtm``; returns
+    the first dtm.tsv line that counts it."""
+    vocabulary = dtm.with_name("vocabulary.tsv")
+    lines = vocabulary.read_text(encoding="utf-8").splitlines(keepends=True)
+    vocabulary.write_text("".join(lines[:-1]), encoding="utf-8")
+    term = lines[-1].split("\t")[0]
+    triplets = dtm.read_text(encoding="utf-8").splitlines()
+    return next(n for n, line in enumerate(triplets, start=1) if line.split("\t")[1] == term)
+
+
+def _write_fractional_count(dtm: Path) -> int:
+    lines = dtm.read_text(encoding="utf-8").splitlines(keepends=True)
+    doc_id, term, _ = lines[4].split("\t")
+    lines[4] = f"{doc_id}\t{term}\t1.5\n"
+    dtm.write_text("".join(lines), encoding="utf-8")
+    return 5
+
+
 @pytest.mark.parametrize(
     "artifact, stage, corrupt",
     [
         ("dtm.tsv", "ca", _cut_mid_line),
         ("vocabulary.tsv", "stats", _replace_with_garbage),
         ("filter_report.json", "stats", _write_unterminated_json),
+        ("dtm.tsv", "ca", _drop_last_vocabulary_term),
+        ("dtm.tsv", "periods", _write_fractional_count),
     ],
 )
 def test_malformed_artifact_exits_1_naming_file_and_line(
@@ -242,12 +263,14 @@ def test_run_mini_corpus_script_runs_the_checked_in_config(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["demo"]
 
 
-def _write_export(path: Path, abstracts: list[str]) -> Path:
+def _write_export(path: Path, abstracts: list[str], first_year: int = 2010) -> Path:
     """A small export in the bundled corpus's layout plus an ``EID`` id
-    column (map it with ``schema.id = EID``); one document per year from 2010."""
+    column (map it with ``schema.id = EID``); one document per year from
+    ``first_year``."""
     lines = ["EID,Title,Abstract,Author Keywords,Year,Document Type,Cited by"]
     lines += [
-        f"e{i},Title {i},{text},,{2010 + i},Article,{i}" for i, text in enumerate(abstracts)
+        f"e{i},Title {i},{text},,{first_year + i},Article,{i}"
+        for i, text in enumerate(abstracts)
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -337,25 +360,35 @@ def test_documents_left_out_of_the_dtm_are_recorded(tmp_path, write_mini_config,
     assert "e3\t" not in (out / "dtm.tsv").read_text(encoding="utf-8")
 
 
+_COMMON_IN_ALL_4 = [
+    "common common alpha alpha alpha",
+    "common common alpha alpha beta",
+    "common common beta beta gamma gamma gamma",
+    "common common beta beta gamma gamma",
+]
+# In 3 documents the entropy of an evenly spread term is exactly ln 3, but
+# summing p ln p in floating point does not give ln 3.
+_COMMON_IN_ALL_3 = [
+    "common common alpha alpha alpha beta beta",
+    "common common beta beta beta gamma gamma",
+    "common common gamma gamma gamma alpha alpha",
+]
+
+
 @pytest.mark.parametrize(
-    "weighting, cause",
-    [("tf-idf", "occurs in all"), ("entropy", "occurs equally often in all")],
-    ids=["tf-idf", "entropy"],
+    "weighting, cause, abstracts",
+    [
+        ("tf-idf", "occurs in all", _COMMON_IN_ALL_4),
+        ("entropy", "occurs equally often in all", _COMMON_IN_ALL_4),
+        ("entropy", "occurs equally often in all", _COMMON_IN_ALL_3),
+    ],
+    ids=["tf-idf", "entropy", "entropy-3-documents"],
 )
 def test_term_weighted_zero_everywhere_is_a_data_error(
-    tmp_path, write_mini_config, capsys, weighting, cause
+    tmp_path, write_mini_config, capsys, weighting, cause, abstracts
 ):
-    # "common" is in every document, and equally often (p = 1/4 is exact,
-    # so the entropy factor comes out exactly 0).
-    source = _write_export(
-        tmp_path / "export.csv",
-        [
-            "common common alpha alpha alpha",
-            "common common alpha alpha beta",
-            "common common beta beta gamma gamma gamma",
-            "common common beta beta gamma gamma",
-        ],
-    )
+    # "common" is in every document, and equally often.
+    source = _write_export(tmp_path / "export.csv", abstracts)
     extra = {"schema.id": "EID", "weighting": weighting, "ca_input": "weighted"}
     out = tmp_path / "out"
     config = write_mini_config(out, source=source, **extra)
@@ -365,6 +398,61 @@ def test_term_weighted_zero_everywhere_is_a_data_error(
     err = capsys.readouterr().err
     assert (
         f"{weighting} weighting gives zero weight to term(s) ['common'] and document(s) [], "
-        f"because each such term {cause} 4 documents"
+        f"because each such term {cause} {len(abstracts)} documents"
     ) in err
     assert main(["run", "--config", str(config)]) == 2
+
+
+def test_documents_before_1900_survive_the_corpus_artifact(tmp_path, write_mini_config):
+    source = _write_export(
+        tmp_path / "export.csv",
+        [
+            "alpha alpha beta gamma",
+            "beta beta gamma alpha",
+            "gamma gamma alpha beta",
+            "alpha beta gamma gamma",
+        ],
+        first_year=1880,
+    )
+    extra = {"schema.id": "EID", "year_min": 1850,
+             "periods": "Early:1880-1881, Late:1882-1883"}
+    full, staged = tmp_path / "full", tmp_path / "staged"
+    assert main(["run", "--config", str(write_mini_config(full, source=source, **extra))]) == 0
+    staged_config = write_mini_config(staged, source=source, **extra)
+    for stage in ALL_STAGES:
+        assert main([stage, "--config", str(staged_config)]) == 0
+    assert _artifact_bytes(full) == _artifact_bytes(staged)
+    assert json.loads((full / "stats.json").read_text(encoding="utf-8"))["documents"] == 4
+    assert (full / "yearly_counts.tsv").read_text(encoding="utf-8").splitlines()[1] == "1880\t1"
+
+
+def test_run_parses_no_artifact_it_wrote(tmp_path, write_mini_config, monkeypatch):
+    staged = tmp_path / "staged"
+    staged_config = write_mini_config(staged)
+    for stage in ALL_STAGES:
+        assert main([stage, "--config", str(staged_config)]) == 0
+
+    full = tmp_path / "full"
+
+    def unreadable(*args, **kwargs):
+        raise AssertionError(f"lexevo run parsed an artifact: {args}")
+
+    def forbid(reader):
+        def guarded(src, *args, **kwargs):
+            if Path(src).parent == full:
+                unreadable(src)
+            return reader(src, *args, **kwargs)
+
+        return guarded
+
+    for name in pipeline._READERS:
+        monkeypatch.setitem(pipeline._READERS, name, unreadable)
+    for module, name in [
+        (pipeline, "load_corpus_csv"),
+        (textpipe, "read_counts_tsv"),
+        (artifacts, "read_json"),
+        (artifacts, "read_tsv"),
+    ]:
+        monkeypatch.setattr(module, name, forbid(getattr(module, name)))
+    assert main(["run", "--config", str(write_mini_config(full))]) == 0
+    assert _artifact_bytes(full) == _artifact_bytes(staged)

@@ -345,6 +345,21 @@ def test_entropy_hand_computed():
     assert dense[0, vocab["kk"]] == pytest.approx(math.log(3))
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("count", [1, 3])
+def test_entropy_gives_an_evenly_spread_term_exactly_zero_weight(n, count):
+    # "even" has the same count in all n documents, "uneven" is in all of
+    # them but twice in the first, and "kk" is only in the first.
+    first = ["even"] * count + ["uneven", "uneven", "kk"]
+    streams = _streams(first, *(["even"] * count + ["uneven"] for _ in range(n - 1)))
+    dtm = build_dtm(streams, build_vocabulary(streams, 1))
+    values = weight_matrix(dtm, WeightScheme.ENTROPY).values
+    index = dtm.vocabulary.index
+    assert values[:, index["even"]].sum() == 0.0
+    assert values[:, index["uneven"]].nnz == n
+    assert values[0, index["kk"]] > 0.0
+
+
 def test_entropy_factor_never_negative(small_dtm):
     wm = weight_matrix(small_dtm, WeightScheme.ENTROPY)
     assert (wm.values.toarray() >= 0).all()
