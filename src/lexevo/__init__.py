@@ -72,6 +72,7 @@ from .textpipe import (
     WeightedMatrix,
     build_dtm,
     build_vocabulary,
+    remove_stopwords,
     tokenize,
     tokenize_documents,
     uniqueness_stats,
@@ -123,6 +124,7 @@ __all__ = [
     "WeightScheme",
     "tokenize",
     "tokenize_documents",
+    "remove_stopwords",
     "build_vocabulary",
     "build_dtm",
     "weight_matrix",

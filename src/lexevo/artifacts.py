@@ -1,12 +1,17 @@
 """The one module that reads and writes artifact files: text, TSV and JSON.
 
-Each function takes a path or an open text handle, which is used as given.
-Text is UTF-8 with ``\\n`` line endings. A write to a path is atomic: it goes
-to a temporary file beside the destination, which :func:`os.replace` then
-moves into place, so a crash never leaves a half-written artifact behind.
-TSV files have one header line (``rejects.tsv`` has none); a row whose cell
-count differs from the header's, like JSON that does not parse, raises
-:class:`DependencyError` naming the file and line.
+Each function takes a path; text is UTF-8 with ``\\n`` line endings. A write
+goes to a temporary file beside the destination, which :func:`os.replace`
+then moves into place, so a crash never leaves a half-written artifact.
+
+A TSV table is typed columns, declared once by the module that owns the
+table as ``(name, type)`` pairs (``str``, ``int`` or ``float``) for both
+:func:`write_tsv` and :func:`read_tsv`. Only this module turns values into
+cells and back: ``str`` of an ``int``, ``repr`` of a ``float`` (the shortest
+text that parses back to the same double), an empty cell for ``None``. A
+header other than the declared names, a row whose cell count differs from
+the header's, a cell that does not parse as its column's type, or JSON that
+does not parse raises :class:`DependencyError` naming the file and line.
 """
 
 from __future__ import annotations
@@ -17,15 +22,17 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import DependencyError
+
+#: A table's declaration: each column's name and the type of its values.
+Columns = Sequence[tuple[str, type]]
 
 
 @contextmanager
-def open_writer(dest: str | Path | IO[str]) -> Iterator[IO[str]]:
-    """A text handle on ``dest``; a path is replaced only if the block succeeds."""
-    if not isinstance(dest, (str, Path)):
-        yield dest
-        return
+def open_writer(dest: str | Path) -> Iterator[IO[str]]:
+    """A text handle on a temporary file that replaces ``dest`` if the block succeeds."""
     tmp = Path(dest).with_name(f".{Path(dest).name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -35,58 +42,71 @@ def open_writer(dest: str | Path | IO[str]) -> Iterator[IO[str]]:
         tmp.unlink(missing_ok=True)
 
 
-def write_text(dest: str | Path | IO[str], text: str) -> None:
+def write_text(dest: str | Path, text: str) -> None:
     with open_writer(dest) as fh:
         fh.write(text)
 
 
-def read_text(src: str | Path | IO[str]) -> str:
-    if isinstance(src, (str, Path)):
-        return Path(src).read_text(encoding="utf-8")
-    return src.read()
-
-
 def write_tsv(
-    dest: str | Path | IO[str], header: Sequence[str] | None, rows: Iterable[Sequence[str]]
+    dest: str | Path, columns: Columns, values: Sequence[Iterable], *, header: bool = True
 ) -> None:
-    """Tab-joined lines, ``header`` first unless None; ``rows`` is consumed
-    while writing, so it may be a generator."""
+    """``values`` holds one list, array or generator per declared column, all
+    of one length; the line of column names comes first if ``header``."""
     with open_writer(dest) as fh:
-        if header is not None:
-            fh.write("\t".join(header) + "\n")
-        fh.writelines("\t".join(cells) + "\n" for cells in rows)
+        if header:
+            fh.write("\t".join(name for name, _ in columns) + "\n")
+        cells = [_to_cells(kind, col) for (_, kind), col in zip(columns, values, strict=True)]
+        fh.writelines("\t".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
-def read_tsv(src: str | Path | IO[str]) -> Iterator[list[str]]:
-    """The cells of each line under the header, lazily: a malformed row
-    raises when the iteration reaches it."""
-    lines = read_text(src).splitlines()
+def _to_cells(kind: type, values: Iterable) -> Iterable[str]:
+    """An array's values already have their column's type; others are converted."""
+    to_text = repr if kind is float else str
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+        return values if kind is str else map(to_text, values)
+    return ("" if v is None else to_text(kind(v)) for v in values)
+
+
+def read_tsv(src: str | Path, columns: Columns) -> list[list]:
+    """The declared columns under the header, each a list in file order."""
+    lines = Path(src).read_text(encoding="utf-8").splitlines()
     if not lines:
-        raise DependencyError(f"malformed artifact {_name(src)}: no header line")
+        raise DependencyError(f"malformed artifact {src}: no header line")
     width = lines[0].count("\t") + 1
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split("\t")
-        if len(cells) != width:
+    for lineno, line in enumerate(lines, start=1):
+        if (n_cells := line.count("\t") + 1) != width:
             raise DependencyError(
-                f"malformed artifact {_name(src)}: line {lineno} has "
-                f"{len(cells)} cells, the header has {width}"
+                f"malformed artifact {src}: line {lineno} has {n_cells} cells, "
+                f"the header has {width}"
             )
-        yield cells
+    names = [name for name, _ in columns]
+    if lines[0].split("\t") != names:
+        raise DependencyError(f"malformed artifact {src}: line 1: header is not {names}")
+    cells = "\t".join(lines[1:]).split("\t") if len(lines) > 1 else []
+    return [_parse(src, name, kind, cells[j::width]) for j, (name, kind) in enumerate(columns)]
 
 
-def write_json(dest: str | Path | IO[str], payload: Any) -> None:
+def _parse(src: str | Path, name: str, kind: type, texts: list[str]) -> list:
+    if kind is str:
+        return texts
+    parsed: list = []
+    try:
+        parsed.extend(map(kind, texts))  # keeps the values parsed before a failure
+    except ValueError:
+        raise DependencyError(
+            f"malformed artifact {src}: line {len(parsed) + 2}: {name} "
+            f"{texts[len(parsed)]!r} is not {'an integer' if kind is int else 'a number'}"
+        ) from None
+    return parsed
+
+
+def write_json(dest: str | Path, payload: Any) -> None:
     write_text(dest, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(src: str | Path | IO[str]) -> Any:
-    text = read_text(src)
+def read_json(src: str | Path) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(Path(src).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise DependencyError(
-            f"malformed artifact {_name(src)}: line {exc.lineno}: {exc.msg}"
-        ) from None
-
-
-def _name(src: str | Path | IO[str]) -> str:
-    return str(src) if isinstance(src, (str, Path)) else getattr(src, "name", "<stream>")
+        raise DependencyError(f"malformed artifact {src}: line {exc.lineno}: {exc.msg}") from None

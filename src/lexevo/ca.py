@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -331,31 +331,29 @@ def nearest_points(
 # ---------------------------------------------------------------------------
 
 
-def write_coordinates_tsv(model: CaModel, dest: str | Path | IO[str]) -> None:
+def _coords_columns(k: int) -> artifacts.Columns:
+    dims = [f"dim{d + 1}" for d in range(k)]
+    floats = ["mass", *dims, *(f"contrib_{name}" for name in dims)]
+    return [("kind", str), ("label", str), *((name, float) for name in floats)]
+
+
+def _year_columns(k: int) -> artifacts.Columns:
+    return [("label", str)] + [(f"dim{d + 1}", float) for d in range(k)]
+
+
+def write_coordinates_tsv(model: CaModel, dest: str | Path) -> None:
     """Coordinate export: kind, label, mass, principal coordinates, then
     per-dimension contributions (mass * coord^2 / lambda^2)."""
     k = model.dims
-    header = (
-        ["kind", "label", "mass"]
-        + [f"dim{d + 1}" for d in range(k)]
-        + [f"contrib_dim{d + 1}" for d in range(k)]
-    )
-    rows = []
-    lam2 = model.singular_values[:k] ** 2
-    for kind in ("row", "col"):
-        labels = model.labels(kind)
-        coords = model.principal(kind)
-        masses = model.row_masses if kind == "row" else model.col_masses
-        for i, label in enumerate(labels):
-            contribs = masses[i] * coords[i] ** 2 / lam2 if k else np.empty(0)
-            cells = [kind, label, repr(float(masses[i]))]
-            cells += [repr(float(c)) for c in coords[i]]
-            cells += [repr(float(c)) for c in contribs]
-            rows.append(cells)
-    artifacts.write_tsv(dest, header, rows)
+    masses = np.concatenate([model.row_masses, model.col_masses])
+    coords = np.vstack([model.row_coords_principal, model.col_coords_principal])
+    contribs = masses[:, None] * coords**2 / model.singular_values[:k] ** 2
+    kinds = ["row"] * len(model.row_labels) + ["col"] * len(model.col_labels)
+    labels = model.row_labels + model.col_labels
+    artifacts.write_tsv(dest, _coords_columns(k), [kinds, labels, masses, *coords.T, *contribs.T])
 
 
-def write_model_json(model: CaModel, dest: str | Path | IO[str]) -> None:
+def write_model_json(model: CaModel, dest: str | Path) -> None:
     payload = {
         "sign_convention": SIGN_CONVENTION,
         "dims": model.dims,
@@ -367,19 +365,14 @@ def write_model_json(model: CaModel, dest: str | Path | IO[str]) -> None:
 
 
 def write_year_coords_tsv(
-    projections: Sequence[SupplementaryProjection], dest: str | Path | IO[str]
+    projections: Sequence[SupplementaryProjection], dest: str | Path
 ) -> None:
     k = projections[0].coords.size if projections else 0
-    artifacts.write_tsv(
-        dest,
-        ["label"] + [f"dim{d + 1}" for d in range(k)],
-        ([p.label] + [repr(float(c)) for c in p.coords] for p in projections),
-    )
+    coords = np.asarray([p.coords for p in projections]).reshape(len(projections), k)
+    artifacts.write_tsv(dest, _year_columns(k), [[p.label for p in projections], *coords.T])
 
 
-def read_model_artifacts(
-    coords_src: str | Path | IO[str], model_src: str | Path | IO[str]
-) -> CaModel:
+def read_model_artifacts(coords_src: str | Path, model_src: str | Path) -> CaModel:
     """Rebuild a CaModel from the coordinate TSV and the model JSON.
 
     Standard coordinates are recovered as principal / singular value, so
@@ -390,25 +383,17 @@ def read_model_artifacts(
     sv = np.asarray(meta["singular_values"], dtype=np.float64)
     k = int(meta["dims"])
 
-    rows: dict[str, tuple[float, np.ndarray]] = {}
-    cols: dict[str, tuple[float, np.ndarray]] = {}
-    for cells in artifacts.read_tsv(coords_src):
-        kind, label, mass = cells[0], cells[1], float(cells[2])
-        coords = np.asarray([float(c) for c in cells[3 : 3 + k]])
-        (rows if kind == "row" else cols)[label] = (mass, coords)
-
-    row_labels = tuple(rows)
-    col_labels = tuple(cols)
-    row_masses = np.asarray([rows[r][0] for r in row_labels])
-    col_masses = np.asarray([cols[c][0] for c in col_labels])
-    row_pri = np.vstack([rows[r][1] for r in row_labels]) if row_labels else np.empty((0, k))
-    col_pri = np.vstack([cols[c][1] for c in col_labels]) if col_labels else np.empty((0, k))
+    kinds, labels, masses, *values = artifacts.read_tsv(coords_src, _coords_columns(k))
+    is_row = np.asarray([kind == "row" for kind in kinds], dtype=bool)
+    labels, masses = np.asarray(labels, dtype=object), np.asarray(masses)
+    principal = np.asarray(values[:k]).reshape(k, len(kinds)).T
+    row_pri, col_pri = principal[is_row], principal[~is_row]
     lam = sv[:k]
     return CaModel(
-        row_labels=row_labels,
-        col_labels=col_labels,
-        row_masses=row_masses,
-        col_masses=col_masses,
+        row_labels=tuple(labels[is_row]),
+        col_labels=tuple(labels[~is_row]),
+        row_masses=masses[is_row],
+        col_masses=masses[~is_row],
         singular_values=sv,
         inertia_total=float(meta["inertia_total"]),
         inertia_shares=np.asarray(meta["inertia_shares"], dtype=np.float64),
@@ -420,8 +405,8 @@ def read_model_artifacts(
     )
 
 
-def read_year_coords_tsv(src: str | Path | IO[str]) -> list[SupplementaryProjection]:
-    return [
-        SupplementaryProjection(cells[0], None, np.asarray([float(c) for c in cells[1:]]))
-        for cells in artifacts.read_tsv(src)
-    ]
+def read_year_coords_tsv(src: str | Path, dims: int) -> list[SupplementaryProjection]:
+    """The projections of ``year_coords.tsv``, which holds ``dims`` coordinates."""
+    labels, *values = artifacts.read_tsv(src, _year_columns(dims))
+    coords = np.asarray(values).reshape(dims, len(labels)).T
+    return [SupplementaryProjection(label, None, c) for label, c in zip(labels, coords)]

@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, Sequence
 
 from . import artifacts
 from .errors import DataError, EncodingError, SchemaError
@@ -363,7 +363,7 @@ def filter_corpus(
 
 def write_corpus_csv(
     corpus: Corpus,
-    dest: str | Path | IO[str],
+    dest: str | Path,
     schema: CsvSchema = CANONICAL_SCHEMA,
 ) -> None:
     """Canonical writer: RFC 4180, UTF-8, fields in schema order,
@@ -381,16 +381,15 @@ def write_corpus_csv(
                 "title": doc.title,
                 "abstract": doc.abstract,
                 "keywords": "; ".join(doc.keywords),
-                "year": str(doc.year),
+                "year": doc.year,
                 "doc_type": doc.doc_type.value,
-                "citations": str(doc.citations),
+                "citations": doc.citations,
             }
             writer.writerow([values[logical] for logical, _ in columns])
 
 
-def write_rejects_report(
-    rejects: Iterable[RejectedRow], dest: str | Path | IO[str]
-) -> None:
+def write_rejects_report(rejects: Sequence[RejectedRow], dest: str | Path) -> None:
     """Rejects report: one tab-separated line per skipped row (row, reason),
     no header line."""
-    artifacts.write_tsv(dest, None, ((str(r.row), r.reason) for r in rejects))
+    values = [[r.row for r in rejects], [r.reason for r in rejects]]
+    artifacts.write_tsv(dest, (("row", int), ("reason", str)), values, header=False)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -254,7 +254,7 @@ def period_report(
 def write_periods_json(
     reports: Sequence[PeriodReport],
     corpus_size: int,
-    dest: str | Path | IO[str],
+    dest: str | Path,
 ) -> None:
     assigned = sum(r.doc_count for r in reports)
     payload = {
@@ -284,7 +284,7 @@ def write_periods_json(
 def write_periods_markdown(
     reports: Sequence[PeriodReport],
     corpus_size: int,
-    dest: str | Path | IO[str],
+    dest: str | Path,
 ) -> None:
     assigned = sum(r.doc_count for r in reports)
     lines = [

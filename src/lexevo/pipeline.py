@@ -10,10 +10,11 @@ starts with an empty workspace and parses what earlier stages left in the
 directory. Either way the artifacts are byte-identical, and any stage can
 be re-run in isolation. A missing upstream artifact raises
 :class:`DependencyError` naming the subcommand that produces it, and so
-does a malformed one (a TSV row with the wrong number of cells, JSON that
-does not parse, a ``dtm.tsv`` line whose term is not in ``vocabulary.tsv``
-or whose count is not an integer), naming the file and line; the CLI exits
-1 for both.
+does a malformed one, naming the file: a table or JSON file that
+:mod:`lexevo.artifacts` cannot parse (with the line), a ``dtm.tsv`` term
+missing from ``vocabulary.tsv`` (with the line), a ``corpus.csv`` record
+that no longer parses (with the record), or a field a reader needs that is
+missing or of the wrong type. The CLI exits 1 for all of these.
 
 Every artifact is written through :mod:`lexevo.artifacts`, atomically: to
 a temporary file in the output directory that then replaces the artifact.
@@ -45,6 +46,7 @@ from . import textpipe, viz
 from .config import RunConfig, to_config_text
 from .corpus import (
     CANONICAL_SCHEMA,
+    Corpus,
     filter_corpus,
     load_corpus_csv,
     write_corpus_csv,
@@ -110,8 +112,10 @@ class Workspace:
 
     ``ws[name]`` returns the object this process stored with
     ``ws[name] = obj`` when it wrote the artifact; otherwise it parses the
-    artifact through ``_READERS`` and keeps the result. Only artifacts
-    that a stage reads can be stored.
+    artifact through ``_READERS`` and keeps the result. A reader that
+    meets content it cannot use (a ``KeyError``, ``IndexError``,
+    ``TypeError`` or ``ValueError``) raises :class:`DependencyError`
+    naming the artifact. Only artifacts that a stage reads can be stored.
     """
 
     def __init__(self, out: Path) -> None:
@@ -130,7 +134,13 @@ class Workspace:
 
     def __getitem__(self, name: str) -> Any:
         if name not in self._objects:
-            self._objects[name] = _READERS[name](self)
+            reader = _READERS[name]
+            try:
+                self._objects[name] = reader(self)
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise DependencyError(
+                    f"malformed artifact {self.out / name}: {type(exc).__name__}: {exc}"
+                ) from exc
         return self._objects[name]
 
     def __setitem__(self, name: str, obj: Any) -> None:
@@ -144,9 +154,15 @@ def _workspace(cfg: RunConfig, ws: Workspace | None) -> Workspace:
     return Workspace(cfg.out) if ws is None else ws
 
 
-#: corpus.csv holds only documents that ingest kept, so it is read back
-#: without a year window.
-_ANY_YEAR = (-sys.maxsize, sys.maxsize)
+def _read_corpus(ws: Workspace) -> Corpus:
+    """corpus.csv holds only documents that ingest kept, so it is read back
+    without a year window, and a record it rejects is a malformed artifact."""
+    path = ws.path(A_CORPUS)
+    corpus = load_corpus_csv(path, CANONICAL_SCHEMA, year_window=(-sys.maxsize, sys.maxsize))
+    if corpus.rejects:
+        bad = corpus.rejects[0]
+        raise DependencyError(f"malformed artifact {path}: record {bad.row}: {bad.reason}")
+    return corpus
 
 
 def _read_dtm(ws: Workspace) -> textpipe.DocTermMatrix:
@@ -157,28 +173,43 @@ def _read_dtm(ws: Workspace) -> textpipe.DocTermMatrix:
 
 
 def _read_yearly(ws: Workspace) -> stats_mod.YearlyCounts:
-    rows = list(artifacts.read_tsv(ws.path(A_YEARLY)))
-    return stats_mod.YearlyCounts(int(rows[0][0]), tuple(int(c) for _, c in rows))
+    years, counts = artifacts.read_tsv(ws.path(A_YEARLY), stats_mod.YEARLY_COUNTS_COLUMNS)
+    return stats_mod.YearlyCounts(years[0], tuple(counts))
+
+
+#: The stats.json trend fields that stage_figures reads, with their types.
+_TREND_FIELDS = {
+    "c2": float, "c1": float, "c0": float, "r_squared": float | None,
+    "first_year": int, "fitted_through": int,
+}
+
+
+def _read_stats(ws: Workspace) -> dict:
+    stats = artifacts.read_json(ws.path(A_STATS))
+    for field, kind in _TREND_FIELDS.items():
+        if not isinstance(stats["trend"][field], kind):
+            raise TypeError(f"trend field {field!r} is {stats['trend'][field]!r}")
+    return stats
 
 
 #: The one reader of each artifact a stage reads: the object it parses to
 #: is the one its producer stores. ``ca_model.json`` stands for the model
 #: rebuilt from it and ``ca_coords.tsv``.
 _READERS: dict[str, Callable[[Workspace], Any]] = {
-    A_CORPUS: lambda ws: load_corpus_csv(
-        ws.path(A_CORPUS), CANONICAL_SCHEMA, year_window=_ANY_YEAR
-    ),
+    A_CORPUS: _read_corpus,
     A_FILTER_REPORT: lambda ws: artifacts.read_json(ws.path(A_FILTER_REPORT)),
     A_VOCAB: lambda ws: textpipe.read_vocabulary_tsv(ws.path(A_VOCAB)),
     A_DTM: _read_dtm,
     A_TOKEN_REPORT: lambda ws: artifacts.read_json(ws.path(A_TOKEN_REPORT)),
     A_YEARLY: _read_yearly,
-    A_TYPE_SHARES: lambda ws: [
-        (doc_type, float(share)) for doc_type, share in artifacts.read_tsv(ws.path(A_TYPE_SHARES))
-    ],
-    A_STATS: lambda ws: artifacts.read_json(ws.path(A_STATS)),
+    A_TYPE_SHARES: lambda ws: list(
+        zip(*artifacts.read_tsv(ws.path(A_TYPE_SHARES), stats_mod.TYPE_SHARES_COLUMNS))
+    ),
+    A_STATS: _read_stats,
     A_CA_MODEL: lambda ws: ca_mod.read_model_artifacts(ws.path(A_CA_COORDS), ws.path(A_CA_MODEL)),
-    A_YEAR_COORDS: lambda ws: ca_mod.read_year_coords_tsv(ws.path(A_YEAR_COORDS)),
+    A_YEAR_COORDS: lambda ws: ca_mod.read_year_coords_tsv(
+        ws.path(A_YEAR_COORDS), ws[A_CA_MODEL].dims
+    ),
 }
 
 

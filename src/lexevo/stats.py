@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -164,20 +164,21 @@ def predict_trend(fit: TrendFit, year: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def write_term_table_tsv(
-    table: TermFrequencyTable, dest: str | Path | IO[str]
-) -> None:
-    rows = [(r.term, str(r.frequency), repr(r.share)) for r in table.rows]
-    artifacts.write_tsv(dest, ("term", "frequency", "share"), rows)
+#: The columns of the two tables that ``lexevo figures`` reads back.
+YEARLY_COUNTS_COLUMNS = (("year", int), ("count", int))
+TYPE_SHARES_COLUMNS = (("doc_type", str), ("share", float))
 
 
-def write_yearly_counts_tsv(series: YearlyCounts, dest: str | Path | IO[str]) -> None:
-    rows = [(str(y), str(c)) for y, c in zip(series.years, series.counts)]
-    artifacts.write_tsv(dest, ("year", "count"), rows)
+def write_term_table_tsv(table: TermFrequencyTable, dest: str | Path) -> None:
+    rows = table.rows
+    values = [[r.term for r in rows], [r.frequency for r in rows], [r.share for r in rows]]
+    artifacts.write_tsv(dest, (("term", str), ("frequency", int), ("share", float)), values)
 
 
-def write_type_shares_tsv(
-    shares: Sequence[tuple[DocType, float]], dest: str | Path | IO[str]
-) -> None:
-    rows = [(t.value, repr(s)) for t, s in shares]
-    artifacts.write_tsv(dest, ("doc_type", "share"), rows)
+def write_yearly_counts_tsv(series: YearlyCounts, dest: str | Path) -> None:
+    artifacts.write_tsv(dest, YEARLY_COUNTS_COLUMNS, [series.years, series.counts])
+
+
+def write_type_shares_tsv(shares: Sequence[tuple[DocType, float]], dest: str | Path) -> None:
+    values = [[t.value for t, _ in shares], [s for _, s in shares]]
+    artifacts.write_tsv(dest, TYPE_SHARES_COLUMNS, values)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -391,93 +391,79 @@ def weight_matrix(dtm: DocTermMatrix, scheme: WeightScheme) -> WeightedMatrix:
 # ---------------------------------------------------------------------------
 
 
-def write_vocabulary_tsv(vocab: Vocabulary, dest: str | Path | IO[str]) -> None:
+_VOCABULARY_COLUMNS = (("term", str), ("total_frequency", int), ("doc_frequency", int))
+
+
+def write_vocabulary_tsv(vocab: Vocabulary, dest: str | Path) -> None:
     totals, dfs = vocab.total_frequency, vocab.doc_frequency
-    rows = [(t, str(totals[t]), str(dfs[t])) for t in vocab.terms]
-    artifacts.write_tsv(dest, ("term", "total_frequency", "doc_frequency"), rows)
+    values = [vocab.terms, [totals[t] for t in vocab.terms], [dfs[t] for t in vocab.terms]]
+    artifacts.write_tsv(dest, _VOCABULARY_COLUMNS, values)
 
 
-def read_vocabulary_tsv(src: str | Path | IO[str]) -> Vocabulary:
-    terms: list[str] = []
-    totals: dict[str, int] = {}
-    dfs: dict[str, int] = {}
-    for term, total, df in artifacts.read_tsv(src):
-        terms.append(term)
-        totals[term] = int(total)
-        dfs[term] = int(df)
+def read_vocabulary_tsv(src: str | Path) -> Vocabulary:
+    terms, totals, dfs = artifacts.read_tsv(src, _VOCABULARY_COLUMNS)
     return Vocabulary(
         terms=tuple(terms),
         index={t: i for i, t in enumerate(terms)},
-        doc_frequency=dfs,
-        total_frequency=totals,
+        doc_frequency=dict(zip(terms, dfs)),
+        total_frequency=dict(zip(terms, totals)),
     )
+
+
+def _counts_columns(value_name: str) -> artifacts.Columns:
+    """``dtm.tsv`` holds integer counts, ``weighted.tsv`` float weights."""
+    return (("doc_id", str), ("term", str), (value_name, int if value_name == "count" else float))
 
 
 def write_counts_tsv(
     rows: Sequence[str],
     terms: Sequence[str],
     matrix: sparse.spmatrix,
-    dest: str | Path | IO[str],
+    dest: str | Path,
     value_name: str = "count",
 ) -> None:
     """Sparse triplet dump (doc_id, term, value), row-major order."""
     csr = sparse.csr_matrix(matrix)
     csr.sort_indices()
-
-    def triplets() -> Iterator[tuple[str, str, str]]:
-        for i, doc_id in enumerate(rows):
-            start, end = csr.indptr[i], csr.indptr[i + 1]
-            for j, v in zip(csr.indices[start:end], csr.data[start:end]):
-                value = str(int(v)) if value_name == "count" else repr(float(v))
-                yield doc_id, terms[j], value
-
-    artifacts.write_tsv(dest, ("doc_id", "term", value_name), triplets())
+    doc_ids = np.repeat(np.asarray(rows, dtype=object), np.diff(csr.indptr))
+    cell_terms = np.asarray(terms, dtype=object)[csr.indices]
+    artifacts.write_tsv(dest, _counts_columns(value_name), [doc_ids, cell_terms, csr.data])
 
 
-def read_counts_tsv(
-    src: str | Path | IO[str],
-) -> tuple[list[str], list[tuple[str, str, float]]]:
-    """Read a triplet dump; returns (row ids in first-appearance order,
-    triplets in file order, so triplet k is on line k + 2)."""
-    rows: list[str] = []
-    seen: set[str] = set()
-    triplets: list[tuple[str, str, float]] = []
-    for doc_id, term, value in artifacts.read_tsv(src):
-        if doc_id not in seen:
-            seen.add(doc_id)
-            rows.append(doc_id)
-        triplets.append((doc_id, term, float(value)))
-    return rows, triplets
+def read_counts_tsv(src: str | Path, value_name: str = "count") -> tuple[list[str], list[list]]:
+    """Read a triplet dump; returns (row ids in first-appearance order, the
+    doc_id, term and value columns in file order, so triplet k is on line
+    k + 2)."""
+    triplets = artifacts.read_tsv(src, _counts_columns(value_name))
+    return list(dict.fromkeys(triplets[0])), triplets
 
 
 def dtm_from_triplets(
     rows: Sequence[str],
     vocab: Vocabulary,
-    triplets: Sequence[tuple[str, str, float]],
+    triplets: Sequence[Sequence],
     source: str | Path = "dtm.tsv",
 ) -> DocTermMatrix:
-    """Rebuild a DocTermMatrix from a triplet dump and its vocabulary.
+    """Rebuild a DocTermMatrix from the doc_id, term and integer count
+    columns of a triplet dump and its vocabulary.
 
-    A term missing from the vocabulary or a count that is not an integer
-    raises :class:`DependencyError` naming ``source`` and the line of the
-    offending triplet (triplet k is on line k + 2, under the header).
+    A term missing from the vocabulary raises :class:`DependencyError`
+    naming ``source`` and the line of the offending triplet (triplet k is
+    on line k + 2, under the header).
     """
+    doc_ids, terms, counts = triplets
     row_index = {r: i for i, r in enumerate(rows)}
-    n = len(triplets)
-    ris = np.fromiter((row_index[d] for d, _, _ in triplets), np.int64, n)
-    cjs = np.fromiter((vocab.index.get(t, -1) for _, t, _ in triplets), np.int64, n)
-    values = np.fromiter((v for _, _, v in triplets), np.float64, n)
-    bad = (cjs < 0) | ~np.isfinite(values) | (values != np.trunc(values))
-    if bad.any():
-        k = int(np.argmax(bad))
-        _, term, value = triplets[k]
-        problem = (
-            f"term {term!r} is not in the vocabulary" if cjs[k] < 0
-            else f"count {value!r} is not an integer"
+    n = len(doc_ids)
+    ris = np.fromiter(map(row_index.__getitem__, doc_ids), np.int64, n)
+    cjs = np.fromiter((vocab.index.get(t, -1) for t in terms), np.int64, n)
+    if (cjs < 0).any():
+        k = int(np.argmax(cjs < 0))
+        raise DependencyError(
+            f"malformed artifact {source}: line {k + 2}: "
+            f"term {terms[k]!r} is not in the vocabulary"
         )
-        raise DependencyError(f"malformed artifact {source}: line {k + 2}: {problem}")
     matrix = sparse.csr_matrix(
-        (values.astype(np.int64), (ris, cjs)), shape=(len(rows), len(vocab))
+        (np.asarray(counts, dtype=np.int64), (ris, cjs)), shape=(len(rows), len(vocab))
     )
     return DocTermMatrix(rows=tuple(rows), vocabulary=vocab, counts=matrix)
 

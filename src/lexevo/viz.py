@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 from xml.sax.saxutils import escape
 
 from . import artifacts
@@ -234,12 +234,14 @@ def render_word_cloud(layout: CloudLayout, title: str = "") -> bytes:
     return "".join(parts).encode("utf-8")
 
 
-def write_cloud_layout_tsv(layout: CloudLayout, dest: str | Path | IO[str]) -> None:
+def write_cloud_layout_tsv(layout: CloudLayout, dest: str | Path) -> None:
     """Layout debug dump: term, box-center coordinates, font size; dropped
     terms listed with empty coordinates."""
-    rows = [(p.term, repr(p.x), repr(p.y), repr(p.font_size)) for p in layout.placements]
-    rows += [(t, "", "", "") for t in layout.dropped]
-    artifacts.write_tsv(dest, ("term", "x", "y", "size"), rows)
+    placed, empty = layout.placements, [None] * len(layout.dropped)
+    terms = [p.term for p in placed] + list(layout.dropped)
+    xs, ys, sizes = ([getattr(p, a) for p in placed] + empty for a in ("x", "y", "font_size"))
+    columns = (("term", str), ("x", float), ("y", float), ("size", float))
+    artifacts.write_tsv(dest, columns, [terms, xs, ys, sizes])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lexevo
@@ -8,25 +9,27 @@ from lexevo import artifacts
 from lexevo.errors import DependencyError
 
 SRC = Path(lexevo.__file__).parent
+_N = (("n", int),)
 
 
 def test_tsv_without_header_writes_only_rows(tmp_path):
     path = tmp_path / "rejects.tsv"
-    artifacts.write_tsv(path, None, [("3", "malformed year 'x'")])
+    columns = (("row", int), ("reason", str))
+    artifacts.write_tsv(path, columns, [[3], ["malformed year 'x'"]], header=False)
     assert path.read_bytes() == b"3\tmalformed year 'x'\n"
 
 
 def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
     path = tmp_path / "table.tsv"
-    artifacts.write_tsv(path, ("n",), [("1",), ("2",)])
+    artifacts.write_tsv(path, _N, [[1, 2]])
     before = path.read_bytes()
 
-    def rows():
-        yield ("3",)
+    def values():
+        yield 3
         raise RuntimeError("producer failed")
 
     with pytest.raises(RuntimeError, match="producer failed"):
-        artifacts.write_tsv(path, ("n",), rows())
+        artifacts.write_tsv(path, _N, [values()])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
 
@@ -48,14 +51,51 @@ def test_row_with_wrong_cell_count_names_file_and_line(tmp_path, text, line, cel
     path = tmp_path / "bad.tsv"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(DependencyError, match=f"{path}: line {line} has {cells} cells"):
-        list(artifacts.read_tsv(path))
+        artifacts.read_tsv(path, (("a", int), ("b", int)))
+
+
+_TYPED = (("label", str), ("count", int), ("value", float))
+
+
+def test_typed_columns_round_trip_exactly(tmp_path):
+    path = tmp_path / "typed.tsv"
+    floats = [0.1, 1e-300, -2.5, 1 / 3]
+    artifacts.write_tsv(path, _TYPED, [["a", "b", "c", "d"], np.arange(4), np.array(floats)])
+    assert path.read_text(encoding="utf-8").splitlines()[1:3] == ["a\t0\t0.1", "b\t1\t1e-300"]
+    labels, counts, values = artifacts.read_tsv(path, _TYPED)
+    assert (labels, counts, values) == (["a", "b", "c", "d"], [0, 1, 2, 3], floats)
+    assert [type(c) for c in counts] == [int] * 4
+
+
+def test_none_is_written_as_an_empty_cell(tmp_path):
+    path = tmp_path / "layout.tsv"
+    artifacts.write_tsv(path, _TYPED, [["a", "b"], [1, None], [0.5, None]])
+    assert path.read_text(encoding="utf-8") == "label\tcount\tvalue\na\t1\t0.5\nb\t\t\n"
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [("a\t1.5\t0.5", "count '1.5' is not an integer"), ("a\t1\tone", "value 'one' is not a number")],
+)
+def test_unparsable_cell_names_file_line_and_column(tmp_path, row, problem):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"label\tcount\tvalue\nz\t0\t0.0\n{row}\n", encoding="utf-8")
+    with pytest.raises(DependencyError, match=f"{path}: line 3: {problem}"):
+        artifacts.read_tsv(path, _TYPED)
+
+
+def test_header_other_than_the_declaration_is_malformed(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("label\tcount\tweight\n", encoding="utf-8")
+    with pytest.raises(DependencyError, match=f"{path}: line 1: header"):
+        artifacts.read_tsv(path, _TYPED)
 
 
 def test_empty_tsv_and_bad_json_are_malformed(tmp_path):
     empty = tmp_path / "empty.tsv"
     empty.write_text("", encoding="utf-8")
     with pytest.raises(DependencyError, match="empty.tsv: no header line"):
-        list(artifacts.read_tsv(empty))
+        artifacts.read_tsv(empty, _N)
     bad = tmp_path / "bad.json"
     bad.write_text("{\n  oops\n", encoding="utf-8")
     with pytest.raises(DependencyError, match="bad.json: line 2"):

@@ -1,4 +1,3 @@
-import io
 import logging
 
 import numpy as np
@@ -321,7 +320,7 @@ def test_aggregate_year_profiles_omits_zero_years_with_warning(caplog):
     zero_row = dtm_from_triplets(
         ("d0", "d1", "d2"),
         dtm.vocabulary,
-        [("d0", "aa", 2), ("d0", "bb", 1), ("d1", "aa", 1)],
+        (["d0", "d0", "d1"], ["aa", "bb", "aa"], [2, 1, 1]),
     )
     with caplog.at_level(logging.WARNING):
         profiles = aggregate_year_profiles(zero_row, corpus)
@@ -364,14 +363,12 @@ def test_nearest_validates_inputs():
 # --- artifacts --------------------------------------------------------------------
 
 
-def test_model_artifacts_round_trip():
+def test_model_artifacts_round_trip(tmp_path):
     model = _model(dims=3)
-    coords_buf, model_buf = io.StringIO(), io.StringIO()
-    write_coordinates_tsv(model, coords_buf)
-    write_model_json(model, model_buf)
-    coords_buf.seek(0)
-    model_buf.seek(0)
-    again = read_model_artifacts(coords_buf, model_buf)
+    coords_path, model_path = tmp_path / "ca_coords.tsv", tmp_path / "ca_model.json"
+    write_coordinates_tsv(model, coords_path)
+    write_model_json(model, model_path)
+    again = read_model_artifacts(coords_path, model_path)
     assert again.row_labels == model.row_labels
     assert again.col_labels == model.col_labels
     assert again.dims == model.dims
@@ -384,11 +381,11 @@ def test_model_artifacts_round_trip():
     )
 
 
-def test_contributions_sum_to_one_per_dimension():
+def test_contributions_sum_to_one_per_dimension(tmp_path):
     model = _model(dims=2)
-    buf = io.StringIO()
-    write_coordinates_tsv(model, buf)
-    lines = [l.split("\t") for l in buf.getvalue().splitlines()[1:]]
+    path = tmp_path / "ca_coords.tsv"
+    write_coordinates_tsv(model, path)
+    lines = [l.split("\t") for l in path.read_text(encoding="utf-8").splitlines()[1:]]
     for kind in ("row", "col"):
         rows = [l for l in lines if l[0] == kind]
         for dim in range(model.dims):
@@ -396,15 +393,14 @@ def test_contributions_sum_to_one_per_dimension():
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_year_coords_round_trip():
+def test_year_coords_round_trip(tmp_path):
     model = _model()
     projections = [
         project_supplementary(model, FIXTURE[i], str(2010 + i)) for i in range(3)
     ]
-    buf = io.StringIO()
-    write_year_coords_tsv(projections, buf)
-    buf.seek(0)
-    again = read_year_coords_tsv(buf)
+    path = tmp_path / "year_coords.tsv"
+    write_year_coords_tsv(projections, path)
+    again = read_year_coords_tsv(path, model.dims)
     assert [p.label for p in again] == ["2010", "2011", "2012"]
     for orig, loaded in zip(projections, again):
         assert np.array_equal(orig.coords, loaded.coords)

@@ -1,5 +1,5 @@
+import csv
 import importlib.util
-import io
 import json
 import subprocess
 import sys
@@ -64,11 +64,12 @@ def test_weighted_ca_input_is_the_ca_of_the_weighted_dtm(
     assert _artifact_bytes(full) == _artifact_bytes(staged)
 
     model = compute_ca(CaInput.from_weighted(weight_matrix(mini_dtm, weighting)))
-    coords, meta = io.StringIO(), io.StringIO()
-    write_coordinates_tsv(model, coords)
-    write_model_json(model, meta)
-    assert (full / "ca_coords.tsv").read_text(encoding="utf-8") == coords.getvalue()
-    assert (full / "ca_model.json").read_text(encoding="utf-8") == meta.getvalue()
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    write_coordinates_tsv(model, expected / "ca_coords.tsv")
+    write_model_json(model, expected / "ca_model.json")
+    for name in ("ca_coords.tsv", "ca_model.json"):
+        assert (full / name).read_bytes() == (expected / name).read_bytes()
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path, write_mini_config):
@@ -189,6 +190,22 @@ def _write_fractional_count(dtm: Path) -> int:
     return 5
 
 
+def _non_numeric(column: str):
+    """A corruption that writes 'x' into ``column`` on line 2."""
+
+    def corrupt(path: Path) -> int:
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        j = lines[0].rstrip("\n").split("\t").index(column)
+        cells = lines[1].rstrip("\n").split("\t")
+        cells[j] = "x"
+        lines[1] = "\t".join(cells) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        return 2
+
+    corrupt.__name__ = f"_non_numeric_{column}"
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "artifact, stage, corrupt",
     [
@@ -197,6 +214,10 @@ def _write_fractional_count(dtm: Path) -> int:
         ("filter_report.json", "stats", _write_unterminated_json),
         ("dtm.tsv", "ca", _drop_last_vocabulary_term),
         ("dtm.tsv", "periods", _write_fractional_count),
+        ("vocabulary.tsv", "stats", _non_numeric("total_frequency")),
+        ("type_shares.tsv", "figures", _non_numeric("share")),
+        ("ca_coords.tsv", "figures", _non_numeric("mass")),
+        ("year_coords.tsv", "figures", _non_numeric("dim2")),
     ],
 )
 def test_malformed_artifact_exits_1_naming_file_and_line(
@@ -204,12 +225,71 @@ def test_malformed_artifact_exits_1_naming_file_and_line(
 ):
     out = tmp_path / "out"
     config = write_mini_config(out)
-    assert main(["ingest", "--config", str(config)]) == 0
+    for upstream in ALL_STAGES[: ALL_STAGES.index(stage)]:
+        assert main([upstream, "--config", str(config)]) == 0
     line = corrupt(out / artifact)
     capsys.readouterr()
     assert main([stage, "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert f"malformed artifact {out / artifact}: line {line}" in err
+
+
+def _drop_trend_c2(path: Path) -> None:
+    stats_json = json.loads(path.read_text(encoding="utf-8"))
+    del stats_json["trend"]["c2"]
+    path.write_text(json.dumps(stats_json), encoding="utf-8")
+
+
+def _drop_dims(path: Path) -> None:
+    model = json.loads(path.read_text(encoding="utf-8"))
+    del model["dims"]
+    path.write_text(json.dumps(model), encoding="utf-8")
+
+
+def _keep_header_only(path: Path) -> None:
+    path.write_text(path.read_text(encoding="utf-8").splitlines(keepends=True)[0], encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "artifact, corrupt",
+    [
+        ("stats.json", _drop_trend_c2),
+        ("ca_model.json", _drop_dims),
+        ("yearly_counts.tsv", _keep_header_only),
+    ],
+)
+def test_artifact_missing_what_figures_reads_exits_1_naming_it(
+    tmp_path, write_mini_config, capsys, artifact, corrupt
+):
+    out = tmp_path / "out"
+    config = write_mini_config(out)
+    assert main(["run", "--config", str(config)]) == 0
+    corrupt(out / artifact)
+    capsys.readouterr()
+    assert main(["figures", "--config", str(config)]) == 1
+    assert f"malformed artifact {out / artifact}: " in capsys.readouterr().err
+
+
+def test_corpus_record_that_no_longer_parses_exits_1_naming_it(
+    tmp_path, write_mini_config, capsys
+):
+    out = tmp_path / "out"
+    config = write_mini_config(out)
+    assert main(["ingest", "--config", str(config)]) == 0
+    path = out / "corpus.csv"
+    with open(path, encoding="utf-8", newline="") as fh:
+        records = list(csv.reader(fh))
+    year = records[0].index("year")
+    records[3][year] = "20x1"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(records)
+    for stage in ("stats", "ca", "periods"):
+        capsys.readouterr()
+        assert main([stage, "--config", str(config)]) == 1
+        assert (
+            f"malformed artifact {path}: record 3: malformed year '20x1'"
+            in capsys.readouterr().err
+        )
 
 
 def test_failed_run_still_writes_a_manifest(tmp_path, write_mini_config):

@@ -247,7 +247,7 @@ def test_corpus_rejects_duplicate_ids():
 # --- writers ----------------------------------------------------------------
 
 
-def test_write_then_parse_round_trips():
+def test_write_then_parse_round_trips(tmp_path):
     docs = [
         _doc(1, year=2011, cites=4),
         Document(
@@ -261,26 +261,26 @@ def test_write_then_parse_round_trips():
         ),
     ]
     corpus = _corpus(docs)
-    buf = io.StringIO()
-    write_corpus_csv(corpus, buf)
-    again = parse_bibliographic_csv(buf.getvalue().encode(), CANONICAL_SCHEMA)
+    path = tmp_path / "corpus.csv"
+    write_corpus_csv(corpus, path)
+    again = parse_bibliographic_csv(path.read_bytes(), CANONICAL_SCHEMA)
     assert again.documents == corpus.documents
 
 
-def test_write_corpus_is_deterministic():
+def test_write_corpus_is_deterministic(tmp_path):
     corpus = _corpus([_doc(1), _doc(2)])
-    a, b = io.StringIO(), io.StringIO()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_corpus_csv(corpus, a)
     write_corpus_csv(corpus, b)
-    assert a.getvalue() == b.getvalue()
-    assert "\r" not in a.getvalue()
+    assert a.read_bytes() == b.read_bytes()
+    assert b"\r" not in a.read_bytes()
 
 
-def test_rejects_report_format():
+def test_rejects_report_format(tmp_path):
     corpus = parse_bibliographic_csv(
         _csv("a,t,a,,bad,article,0", "b,t,a,,2020,article,0"),
         CANONICAL_SCHEMA,
     )
-    buf = io.StringIO()
-    write_rejects_report(corpus.rejects, buf)
-    assert buf.getvalue() == "1\tmalformed year 'bad'\n"
+    path = tmp_path / "rejects.tsv"
+    write_rejects_report(corpus.rejects, path)
+    assert path.read_text(encoding="utf-8") == "1\tmalformed year 'bad'\n"

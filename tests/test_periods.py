@@ -1,4 +1,3 @@
-import io
 import json
 import math
 
@@ -258,12 +257,12 @@ def test_period_report_on_bundled_corpus(mini_corpus, mini_dtm, mini_expected):
         assert list(r.characteristic_terms) == alone
 
 
-def test_periods_json_schema():
+def test_periods_json_schema(tmp_path):
     corpus, dtm, spec = _fixture()
     reports = period_report(corpus, dtm, spec, k_terms=2, k_docs=1)
-    buf = io.StringIO()
-    write_periods_json(reports, len(corpus.documents), buf)
-    payload = json.loads(buf.getvalue())
+    path = tmp_path / "periods.json"
+    write_periods_json(reports, len(corpus.documents), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["corpus_size"] == 4
     assert payload["unassigned"] == 0
     names = [p["name"] for p in payload["periods"]]
@@ -273,12 +272,12 @@ def test_periods_json_schema():
     assert {"title", "year", "citations"} <= set(first["pioneer_docs"][0])
 
 
-def test_periods_markdown_contains_sections():
+def test_periods_markdown_contains_sections(tmp_path):
     corpus, dtm, spec = _fixture()
     reports = period_report(corpus, dtm, spec, k_terms=1, k_docs=1)
-    buf = io.StringIO()
-    write_periods_markdown(reports, len(corpus.documents), buf)
-    text = buf.getvalue()
+    path = tmp_path / "periods.md"
+    write_periods_markdown(reports, len(corpus.documents), path)
+    text = path.read_text(encoding="utf-8")
     assert "## Early (2009-2015)" in text
     assert "## Late (2016-2022)" in text
     assert "| old |" in text

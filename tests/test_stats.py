@@ -1,4 +1,3 @@
-import io
 from collections import Counter
 
 import numpy as np
@@ -195,17 +194,17 @@ def test_r_squared_definition():
 # --- writers ----------------------------------------------------------------
 
 
-def test_term_table_tsv_shape():
+def test_term_table_tsv_shape(tmp_path):
     table = term_frequency_table(_vocab_from({"aa": 6, "bb": 3}), top_k=2)
-    buf = io.StringIO()
-    write_term_table_tsv(table, buf)
-    lines = buf.getvalue().splitlines()
+    path = tmp_path / "term_frequencies.tsv"
+    write_term_table_tsv(table, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "term\tfrequency\tshare"
     assert lines[1].startswith("aa\t6\t")
     assert float(lines[1].split("\t")[2]) == table.rows[0].share
 
 
-def test_yearly_counts_tsv_shape():
-    buf = io.StringIO()
-    write_yearly_counts_tsv(YearlyCounts(2019, (2, 0, 4)), buf)
-    assert buf.getvalue() == "year\tcount\n2019\t2\n2020\t0\n2021\t4\n"
+def test_yearly_counts_tsv_shape(tmp_path):
+    path = tmp_path / "yearly_counts.tsv"
+    write_yearly_counts_tsv(YearlyCounts(2019, (2, 0, 4)), path)
+    assert path.read_text(encoding="utf-8") == "year\tcount\n2019\t2\n2020\t0\n2021\t4\n"

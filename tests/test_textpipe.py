@@ -1,4 +1,3 @@
-import io
 import math
 import unicodedata
 from collections import Counter
@@ -381,21 +380,19 @@ def test_weight_matrix_accepts_scheme_strings(small_dtm):
 # --- TSV round-trips ---------------------------------------------------------
 
 
-def test_vocabulary_tsv_round_trip(small_dtm):
-    buf = io.StringIO()
-    write_vocabulary_tsv(small_dtm.vocabulary, buf)
-    buf.seek(0)
-    again = read_vocabulary_tsv(buf)
+def test_vocabulary_tsv_round_trip(small_dtm, tmp_path):
+    path = tmp_path / "vocabulary.tsv"
+    write_vocabulary_tsv(small_dtm.vocabulary, path)
+    again = read_vocabulary_tsv(path)
     assert again.terms == small_dtm.vocabulary.terms
     assert again.total_frequency == small_dtm.vocabulary.total_frequency
     assert again.doc_frequency == small_dtm.vocabulary.doc_frequency
 
 
-def test_counts_tsv_round_trip(small_dtm):
-    buf = io.StringIO()
-    write_counts_tsv(small_dtm.rows, small_dtm.terms, small_dtm.counts, buf)
-    buf.seek(0)
-    rows, triplets = read_counts_tsv(buf)
+def test_counts_tsv_round_trip(small_dtm, tmp_path):
+    path = tmp_path / "dtm.tsv"
+    write_counts_tsv(small_dtm.rows, small_dtm.terms, small_dtm.counts, path)
+    rows, triplets = read_counts_tsv(path)
     rebuilt = dtm_from_triplets(rows, small_dtm.vocabulary, triplets)
     assert rebuilt.rows == small_dtm.rows
     assert (rebuilt.counts != small_dtm.counts).nnz == 0
@@ -403,15 +400,14 @@ def test_counts_tsv_round_trip(small_dtm):
     assert np.array_equal(rebuilt.row_margins, small_dtm.row_margins)
 
 
-def test_weights_tsv_preserves_exact_floats(small_dtm):
+def test_weights_tsv_preserves_exact_floats(small_dtm, tmp_path):
     wm = weight_matrix(small_dtm, WeightScheme.TF_IDF)
-    buf = io.StringIO()
-    write_counts_tsv(wm.rows, wm.terms, wm.values, buf, value_name="weight")
-    buf.seek(0)
-    _, triplets = read_counts_tsv(buf)
+    path = tmp_path / "weighted.tsv"
+    write_counts_tsv(wm.rows, wm.terms, wm.values, path, value_name="weight")
+    _, triplets = read_counts_tsv(path, value_name="weight")
     dense = wm.values.toarray()
     index = wm.vocabulary.index
     row_index = {r: i for i, r in enumerate(wm.rows)}
-    for doc_id, term, value in triplets:
+    for doc_id, term, value in zip(*triplets):
         # repr() round-trips doubles exactly
         assert value == dense[row_index[doc_id], index[term]]

@@ -1,0 +1,77 @@
+"""The README's library example and the benchmark's trace hooks, run
+against the current code."""
+
+import ast
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import lexevo
+
+ROOT = Path(__file__).parent.parent
+MINI_CSV = Path(lexevo.__file__).parent / "data" / "mini_corpus.csv"
+TRACED = ROOT / "bench" / "traced.py"
+
+#: Every counter ``bench/traced.py`` records on a full run; the benchmark's
+#: report reads each of them.
+TRACE_COUNTERS = {
+    "corpus.rows_loaded",
+    "corpus.rows_rejected",
+    "corpus.docs_retained",
+    "textpipe.tokens",
+    "textpipe.vocab_size",
+    "textpipe.nnz",
+    "textpipe.pruned_rows",
+    "textpipe.pruned_terms",
+    "ca.dense_input_mb",
+    "viz.cloud_dropped",
+}
+
+
+def test_readme_library_example_runs_on_the_bundled_corpus(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library use") :]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    assert '"export.csv"' in code
+    exec(code.replace('"export.csv"', repr(str(MINI_CSV))), {})
+    assert capsys.readouterr().out.strip()
+
+
+def _patch_targets() -> list[tuple[str, str]]:
+    """(module, attribute) of every entry in ``traced.PATCHES``, read
+    without importing the script."""
+    tree = ast.parse(TRACED.read_text(encoding="utf-8"))
+    patches = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "PATCHES"
+    )
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in patches.elts]
+
+
+def test_every_traced_function_still_exists():
+    targets = _patch_targets()
+    assert targets
+    missing = [
+        f"{module}.{attr}" for module, attr in targets
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []
+
+
+def test_traced_run_records_every_counter(tmp_path):
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(TRACED), str(spans), "run",
+         "--config", "configs/mini.conf", "--out", str(tmp_path / "out")],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(spans.read_text(encoding="utf-8"))["counts"]) == TRACE_COUNTERS

@@ -1,4 +1,3 @@
-import io
 import math
 import xml.etree.ElementTree as ET
 
@@ -126,11 +125,11 @@ def test_layout_never_overlaps_for_any_seed(seed):
     assert oracles.overlapping_pairs([p.box for p in layout.placements]) == []
 
 
-def test_cloud_layout_tsv_lists_placements_and_dropped():
+def test_cloud_layout_tsv_lists_placements_and_dropped(tmp_path):
     layout = layout_word_cloud([("aa", 4.0), ("bb", 1.0)], seed=0)
-    buf = io.StringIO()
-    write_cloud_layout_tsv(layout, buf)
-    lines = buf.getvalue().splitlines()
+    path = tmp_path / "cloud_layout.tsv"
+    write_cloud_layout_tsv(layout, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "term\tx\ty\tsize"
     assert len(lines) == 1 + len(layout.placements) + len(layout.dropped)
 
