@@ -66,12 +66,14 @@ from .stats import (
 )
 from .textpipe import (
     DocTermMatrix,
+    TermCounts,
     TokenStream,
     Vocabulary,
     WeightScheme,
     WeightedMatrix,
     build_dtm,
     build_vocabulary,
+    count_terms,
     remove_stopwords,
     tokenize,
     tokenize_documents,
@@ -118,12 +120,14 @@ __all__ = [
     "filter_corpus",
     # text
     "TokenStream",
+    "TermCounts",
     "Vocabulary",
     "DocTermMatrix",
     "WeightedMatrix",
     "WeightScheme",
     "tokenize",
     "tokenize_documents",
+    "count_terms",
     "remove_stopwords",
     "build_vocabulary",
     "build_dtm",

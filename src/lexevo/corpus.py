@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 from . import artifacts
 from .errors import DataError, EncodingError, SchemaError
@@ -72,16 +72,14 @@ DEFAULT_EXCLUDED_TYPES: frozenset[DocType] = frozenset({DocType.OTHER})
 DEFAULT_YEAR_WINDOW: tuple[int, int] = (1900, 2100)
 
 
-def normalize_doc_type(
-    raw: str, aliases: Mapping[str, DocType] | None = None
-) -> DocType:
-    """Map a raw type string to a canonical :class:`DocType`.
+def normalize_doc_type(raw: str) -> DocType:
+    """Map a raw type string to a canonical :class:`DocType` through
+    ``DEFAULT_TYPE_ALIASES``.
 
     Matching is case-insensitive after trimming; unknown strings become
     ``DocType.OTHER``.
     """
-    table = DEFAULT_TYPE_ALIASES if aliases is None else aliases
-    return table.get(raw.strip().lower(), DocType.OTHER)
+    return DEFAULT_TYPE_ALIASES.get(raw.strip().lower(), DocType.OTHER)
 
 
 @dataclass(frozen=True)
@@ -233,14 +231,14 @@ def parse_bibliographic_csv(
     schema: CsvSchema,
     *,
     year_window: tuple[int, int] = DEFAULT_YEAR_WINDOW,
-    type_aliases: Mapping[str, DocType] | None = None,
 ) -> Corpus:
     """Parse a bibliographic CSV export into a :class:`Corpus`.
 
     One document per data row. Keywords are split on ``;`` and trimmed.
     Rows with a malformed year or citation count (or a year outside
-    ``year_window``, or a duplicate id) are collected into
-    ``Corpus.rejects`` and skipped; they do not count as loaded.
+    ``year_window``, or a duplicate id, or an id that holds a tab or a
+    line break and so cannot be a cell of a TSV artifact) are collected
+    into ``Corpus.rejects`` and skipped; they do not count as loaded.
     The returned provenance has ``loaded == retained`` and zero exclusions:
     filtering is a separate, explicit step (:func:`filter_corpus`).
     """
@@ -305,6 +303,11 @@ def parse_bibliographic_csv(
             continue
 
         doc_id = cell(row, "id").strip() or f"d{record_no:04d}"
+        if "\t" in doc_id or doc_id.splitlines() != [doc_id]:
+            rejects.append(
+                RejectedRow(record_no, f"id {doc_id!r} holds a tab or a line break")
+            )
+            continue
         if doc_id in seen_ids:
             rejects.append(RejectedRow(record_no, f"duplicate id {doc_id!r}"))
             continue
@@ -320,7 +323,7 @@ def parse_bibliographic_csv(
                 abstract=cell(row, "abstract").strip(),
                 keywords=keywords,
                 year=year,
-                doc_type=normalize_doc_type(cell(row, "doc_type"), type_aliases),
+                doc_type=normalize_doc_type(cell(row, "doc_type")),
                 citations=citations,
             )
         )

@@ -218,8 +218,9 @@ def _write_svg(path: Path, svg: bytes) -> None:
 
 
 def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
-    """Parse, filter, tokenize once; write the corpus, vocabulary, matrices
-    and the token report (uniqueness statistics, documents pruned from the DTM)."""
+    """Parse, filter, tokenize and count once; write the corpus, vocabulary,
+    matrices and the token report (uniqueness statistics, documents pruned
+    from the DTM)."""
     ws = _workspace(cfg, ws)
     out = ws.out
 
@@ -236,18 +237,17 @@ def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
     artifacts.write_json(out / A_FILTER_REPORT, ws[A_FILTER_REPORT])
     write_rejects_report(filtered.rejects, out / A_REJECTS)
 
-    tokenized = textpipe.tokenize_documents(filtered, cfg.min_token_len)
+    counts = textpipe.count_terms(textpipe.tokenize_documents(filtered, cfg.min_token_len))
     stoplist: frozenset[str] = (
         ENGLISH_STOPWORDS if cfg.builtin_stopwords else frozenset()
     )
     for path in cfg.stoplists:
         stoplist |= textpipe.load_stoplist(path)
     if cfg.auto_stop_df > 0.0:
-        stoplist |= textpipe.auto_stop_terms(tokenized, cfg.auto_stop_df)
-    streams = [textpipe.remove_stopwords(s, stoplist) for s in tokenized]
+        stoplist |= textpipe.auto_stop_terms(counts, cfg.auto_stop_df)
 
-    vocab = textpipe.build_vocabulary(streams, cfg.min_term_freq)
-    dtm = textpipe.build_dtm(streams, vocab)
+    vocab = textpipe.build_vocabulary(counts, cfg.min_term_freq, stoplist)
+    dtm = textpipe.build_dtm(counts, vocab)
     textpipe.write_vocabulary_tsv(dtm.vocabulary, out / A_VOCAB)
     textpipe.write_counts_tsv(dtm.rows, dtm.terms, dtm.counts, out / A_DTM)
     ws[A_VOCAB], ws[A_DTM] = dtm.vocabulary, dtm
@@ -256,9 +256,9 @@ def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
         weighted.rows, weighted.terms, weighted.values, out / A_WEIGHTED, "weight"
     )
 
-    uniq = textpipe.uniqueness_stats(tokenized)
+    uniq = textpipe.uniqueness_stats(counts)
     logger.info("ingest: %d of %d documents have no in-vocabulary token and are left out "
-                "of the DTM", len(dtm.pruned_rows), len(tokenized))
+                "of the DTM", len(dtm.pruned_rows), len(counts.doc_ids))
     uniqueness = {**dataclasses.asdict(uniq), "ratio_of_means": uniq.ratio_of_means}
     ws[A_TOKEN_REPORT] = {"uniqueness": uniqueness, "pruned_documents": list(dtm.pruned_rows)}
     artifacts.write_json(out / A_TOKEN_REPORT, ws[A_TOKEN_REPORT])

@@ -1,13 +1,16 @@
 """Abstract text processing: tokens, stopwords, vocabulary and the
 sparse document-term matrix, plus the pluggable weighting schemes.
 
-All term counting goes through one routine, ``_count_terms``: it gives
-every distinct token an integer column, in order of first appearance, and
-builds one int64 CSR matrix of per-document counts. ``auto_stop_terms``
-reads document frequencies from it (column nnz), ``build_vocabulary``
-reads totals and document frequencies (column sums and nnz), and
-``build_dtm`` selects the vocabulary's columns and prunes the rows left
-empty. The built structures are immutable and safe to share.
+The tokenized corpus is counted once, by ``count_terms``: it gives every
+distinct token an integer column, in order of first appearance, and builds
+one int64 CSR matrix of per-document counts, a :class:`TermCounts`. Every
+later step reads that matrix instead of the tokens: ``auto_stop_terms``
+reads document frequencies (column nnz), ``build_vocabulary`` reads totals
+and document frequencies (column sums and nnz) and skips stoplisted
+columns, ``build_dtm`` selects the vocabulary's columns and prunes the rows
+left empty, and ``uniqueness_stats`` reads token and distinct-term counts
+(row sums and row nnz). The built structures are immutable and safe to
+share.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .stopwords import ENGLISH_STOPWORDS
 
 __all__ = [
     "TokenStream",
+    "TermCounts",
     "UniquenessStats",
     "Vocabulary",
     "DocTermMatrix",
@@ -47,6 +51,7 @@ __all__ = [
     "tokenize",
     "tokenize_documents",
     "load_stoplist",
+    "count_terms",
     "auto_stop_terms",
     "remove_stopwords",
     "uniqueness_stats",
@@ -127,10 +132,35 @@ def load_stoplist(path: str | Path) -> frozenset[str]:
     return frozenset(terms)
 
 
-def _count_terms(streams: Sequence[TokenStream]) -> tuple[dict[str, int], sparse.csr_matrix]:
-    """The one counting routine: every distinct token's column (in order of
-    first appearance) and the int64 CSR matrix of its count in each stream,
-    one row per stream, in canonical form (sorted, summed indices)."""
+@dataclass(frozen=True, eq=False)
+class TermCounts:
+    """Per-document counts of every distinct token of a tokenized corpus.
+
+    One row per stream (``doc_ids``), one column per distinct token
+    (``column`` maps token -> column, in order of first appearance), and
+    ``matrix``, the int64 CSR counts in canonical form (sorted, summed
+    indices), so every column holds at least one occurrence.
+    """
+
+    doc_ids: tuple[str, ...]
+    column: dict[str, int]
+    matrix: sparse.csr_matrix
+
+    @cached_property
+    def totals(self) -> np.ndarray:
+        """Corpus-wide count of each column (column sums)."""
+        return np.asarray(self.matrix.sum(axis=0)).ravel()
+
+    @cached_property
+    def doc_frequency(self) -> np.ndarray:
+        """Number of documents holding each column (column nnz)."""
+        return np.bincount(self.matrix.indices, minlength=len(self.column))
+
+
+def count_terms(streams: Sequence[TokenStream]) -> TermCounts:
+    """The one counting pass over the tokens: every distinct token's column
+    (in order of first appearance) and its count in each stream, one row
+    per stream."""
     lengths = [len(s.tokens) for s in streams]
     column: dict[str, int] = defaultdict(itertools.count().__next__)
     tokens = itertools.chain.from_iterable(s.tokens for s in streams)
@@ -138,27 +168,23 @@ def _count_terms(streams: Sequence[TokenStream]) -> tuple[dict[str, int], sparse
     indptr = np.zeros(len(streams) + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
     ones = np.ones(len(indices), dtype=np.int64)
-    counts = sparse.csr_matrix((ones, indices, indptr), shape=(len(streams), len(column)))
-    counts.sum_duplicates()
-    return dict(column), counts
+    matrix = sparse.csr_matrix((ones, indices, indptr), shape=(len(streams), len(column)))
+    matrix.sum_duplicates()
+    return TermCounts(tuple(s.doc_id for s in streams), dict(column), matrix)
 
 
-def auto_stop_terms(
-    streams: Sequence[TokenStream], max_doc_fraction: float
-) -> frozenset[str]:
+def auto_stop_terms(counts: TermCounts, max_doc_fraction: float) -> frozenset[str]:
     """Terms whose document frequency exceeds ``max_doc_fraction`` of the
-    streams; used to optionally extend the stoplist."""
+    documents; used to optionally extend the stoplist."""
     if not 0.0 < max_doc_fraction <= 1.0:
         raise ValidationError(
             f"max_doc_fraction must be in (0, 1], got {max_doc_fraction}"
         )
-    n = len(streams)
+    n = len(counts.doc_ids)
     if n == 0:
         return frozenset()
-    column, counts = _count_terms(streams)
-    df = np.bincount(counts.indices, minlength=len(column))
-    frequent = df / n > max_doc_fraction
-    return frozenset(t for t, j in column.items() if frequent[j])
+    frequent = counts.doc_frequency / n > max_doc_fraction
+    return frozenset(t for t, j in counts.column.items() if frequent[j])
 
 
 def remove_stopwords(
@@ -166,7 +192,9 @@ def remove_stopwords(
 ) -> TokenStream:
     """Drop stoplisted tokens, preserving the order of survivors.
 
-    Idempotent: a second pass with the same list changes nothing.
+    Idempotent: a second pass with the same list changes nothing. The
+    pipeline does not call it: ``build_vocabulary`` skips stoplisted
+    columns of the counts instead.
     """
     return TokenStream(
         stream.doc_id, tuple(t for t in stream.tokens if t not in stoplist)
@@ -186,20 +214,21 @@ class UniquenessStats:
         return self.mean_unique / self.mean_tokens
 
 
-def uniqueness_stats(streams: Sequence[TokenStream]) -> UniquenessStats:
+def uniqueness_stats(counts: TermCounts) -> UniquenessStats:
     """Mean token count, mean distinct-term count and the mean per-document
     unique/total ratio. Zero-token documents count toward the means but are
     excluded from the ratio mean (their ratio is undefined)."""
-    if not streams:
+    n = len(counts.doc_ids)
+    if n == 0:
         raise UndefinedStatisticError("no token streams given")
-    totals = [len(s.tokens) for s in streams]
-    uniques = [len(set(s.tokens)) for s in streams]
+    totals = np.asarray(counts.matrix.sum(axis=1)).ravel().tolist()
+    uniques = np.diff(counts.matrix.indptr).tolist()
     ratios = [u / t for u, t in zip(uniques, totals) if t > 0]
     if not ratios:
         raise UndefinedStatisticError("every token stream is empty")
     return UniquenessStats(
-        mean_tokens=sum(totals) / len(streams),
-        mean_unique=sum(uniques) / len(streams),
+        mean_tokens=sum(totals) / n,
+        mean_unique=sum(uniques) / n,
         unique_ratio=sum(ratios) / len(ratios),
     )
 
@@ -222,18 +251,22 @@ class Vocabulary:
 
 
 def build_vocabulary(
-    streams: Sequence[TokenStream],
+    counts: TermCounts,
     min_total_frequency: int = DEFAULT_MIN_TERM_FREQUENCY,
+    stoplist: frozenset[str] | set[str] = frozenset(),
 ) -> Vocabulary:
-    """Collect every term whose corpus-wide count reaches the threshold."""
+    """Collect every term outside ``stoplist`` whose corpus-wide count
+    reaches the threshold."""
     if min_total_frequency < 1:
         raise ValidationError(
             f"min_total_frequency must be >= 1, got {min_total_frequency}"
         )
-    column, counts = _count_terms(streams)
-    totals = np.asarray(counts.sum(axis=0)).ravel().tolist()
-    df = np.bincount(counts.indices, minlength=len(column)).tolist()
-    kept = [(t, j) for t, j in column.items() if totals[j] >= min_total_frequency]
+    totals = counts.totals.tolist()
+    df = counts.doc_frequency.tolist()
+    kept = [
+        (t, j) for t, j in counts.column.items()
+        if totals[j] >= min_total_frequency and t not in stoplist
+    ]
     if not kept:
         raise ConfigError(
             f"vocabulary is empty at min_total_frequency={min_total_frequency}"
@@ -293,19 +326,19 @@ class DocTermMatrix:
         return self.counts.shape
 
 
-def build_dtm(streams: Sequence[TokenStream], vocab: Vocabulary) -> DocTermMatrix:
-    """Count term occurrences per document over the vocabulary columns.
+def build_dtm(counts: TermCounts, vocab: Vocabulary) -> DocTermMatrix:
+    """Select the vocabulary's columns of the counts.
 
     Documents whose row comes out all zero (every token out of vocabulary)
     are pruned and reported in ``pruned_rows``; vocabulary terms absent
-    from every stream are likewise pruned into ``pruned_terms`` so the
+    from every document are likewise pruned into ``pruned_terms`` so the
     matrix never carries an all-zero row or column.
     """
     if len(vocab) == 0:
         raise ValidationError("vocabulary is empty")
-    column, counts = _count_terms(streams)
+    column = counts.column
     kept_terms = [t for t in vocab.terms if t in column]
-    matrix = counts[:, [column[t] for t in kept_terms]]
+    matrix = counts.matrix[:, [column[t] for t in kept_terms]]
     nonempty = np.diff(matrix.indptr) > 0
     if not nonempty.any():
         raise EmptyMatrixError("every document row was pruned (all tokens OOV)")
@@ -315,10 +348,10 @@ def build_dtm(streams: Sequence[TokenStream], vocab: Vocabulary) -> DocTermMatri
     if pruned_terms:
         vocab = _subset_vocabulary(vocab, kept_terms)
     return DocTermMatrix(
-        rows=tuple(s.doc_id for s, k in zip(streams, nonempty) if k),
+        rows=tuple(d for d, k in zip(counts.doc_ids, nonempty) if k),
         vocabulary=vocab,
         counts=matrix,
-        pruned_rows=tuple(s.doc_id for s, k in zip(streams, nonempty) if not k),
+        pruned_rows=tuple(d for d, k in zip(counts.doc_ids, nonempty) if not k),
         pruned_terms=pruned_terms,
     )
 

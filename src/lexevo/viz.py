@@ -102,6 +102,9 @@ def _title_elem(options: ChartOptions) -> str:
 # Word cloud
 # ---------------------------------------------------------------------------
 
+#: Font size of the heaviest cloud term, as a fraction of the canvas height.
+_CLOUD_MAX_HEIGHT_FRAC = 0.22
+
 
 @dataclass(frozen=True)
 class Placement:
@@ -129,14 +132,13 @@ def layout_word_cloud(
     weights: Sequence[tuple[str, float]],
     canvas: tuple[float, float] = (800.0, 500.0),
     seed: int = 0,
-    max_height_frac: float = 0.22,
 ) -> CloudLayout:
     """Place terms on an outward spiral from the canvas center.
 
     Font size is proportional to the square root of the weight, scaled so
-    the heaviest term is ``max_height_frac`` of the canvas height. Terms
-    are placed in descending weight order (ties by term); each takes the
-    first collision-free spiral position. Terms that find no room are
+    the heaviest term is ``_CLOUD_MAX_HEIGHT_FRAC`` of the canvas height.
+    Terms are placed in descending weight order (ties by term); each takes
+    the first collision-free spiral position. Terms that find no room are
     dropped and reported, never shrunk, so the size encoding stays honest.
     Deterministic for a fixed (weights, canvas, seed).
     """
@@ -150,7 +152,7 @@ def layout_word_cloud(
 
     order = sorted(weights, key=lambda tw: (-tw[1], tw[0]))
     w_max = order[0][1]
-    max_size = max_height_frac * ch
+    max_size = _CLOUD_MAX_HEIGHT_FRAC * ch
     sizes = [max_size * math.sqrt(w / w_max) for _, w in order]
     # One uniform rescale when the boxes cannot possibly pack: this keeps
     # every size ratio (and thus the sqrt-of-weight encoding) intact,

@@ -12,6 +12,7 @@ from lexevo.stopwords import ENGLISH_STOPWORDS
 from lexevo.textpipe import (
     build_dtm,
     build_vocabulary,
+    count_terms,
     remove_stopwords,
     tokenize_documents,
 )
@@ -59,14 +60,21 @@ def mini_corpus():
 
 @pytest.fixture(scope="session")
 def mini_streams(mini_corpus):
+    """The stopword-free token streams: input for the brute-force oracles."""
     streams = tokenize_documents(mini_corpus, min_len=2)
     return [remove_stopwords(s, ENGLISH_STOPWORDS) for s in streams]
 
 
 @pytest.fixture(scope="session")
-def mini_dtm(mini_streams):
-    vocab = build_vocabulary(mini_streams, min_total_frequency=5)
-    return build_dtm(mini_streams, vocab)
+def mini_counts(mini_corpus):
+    """The term counts of the unstopped streams, as the pipeline builds them."""
+    return count_terms(tokenize_documents(mini_corpus, min_len=2))
+
+
+@pytest.fixture(scope="session")
+def mini_dtm(mini_counts):
+    vocab = build_vocabulary(mini_counts, min_total_frequency=5, stoplist=ENGLISH_STOPWORDS)
+    return build_dtm(mini_counts, vocab)
 
 
 @pytest.fixture

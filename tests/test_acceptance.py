@@ -28,6 +28,7 @@ from lexevo.stats import (
     publication_type_shares,
     publications_per_year,
 )
+from lexevo.stopwords import ENGLISH_STOPWORDS
 from lexevo.textpipe import build_vocabulary
 from lexevo.viz import layout_word_cloud
 
@@ -252,10 +253,10 @@ def test_criterion_7(tmp_path, write_mini_config):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_8(mini_corpus, mini_streams, mini_dtm, mini_expected):
+def test_criterion_8(mini_corpus, mini_streams, mini_counts, mini_dtm, mini_expected):
     # Vocabulary: totals and document frequencies from plain Counters.
     totals, dfs = oracles.vocabulary_counter([s.tokens for s in mini_streams])
-    vocab = build_vocabulary(mini_streams, min_total_frequency=5)
+    vocab = build_vocabulary(mini_counts, min_total_frequency=5, stoplist=ENGLISH_STOPWORDS)
     assert set(vocab.terms) == {t for t, c in totals.items() if c >= 5}
     for term in vocab.terms:
         assert vocab.total_frequency[term] == totals[term]

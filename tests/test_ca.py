@@ -22,7 +22,13 @@ from lexevo.ca import (
 )
 from lexevo.corpus import Corpus, DocType, Document, FilterReport
 from lexevo.errors import DataError, LabelNotFoundError, ValidationError
-from lexevo.textpipe import TokenStream, build_dtm, build_vocabulary, dtm_from_triplets
+from lexevo.textpipe import (
+    TokenStream,
+    build_dtm,
+    build_vocabulary,
+    count_terms,
+    dtm_from_triplets,
+)
 
 # A fixed, comfortably non-degenerate table used throughout.
 FIXTURE = np.array(
@@ -293,8 +299,8 @@ def _tiny_corpus_and_dtm():
         TokenStream("d1", ("aa",)),
         TokenStream("d2", ("bb", "bb")),
     ]
-    vocab = build_vocabulary(streams, 1)
-    return corpus, build_dtm(streams, vocab)
+    counts = count_terms(streams)
+    return corpus, build_dtm(counts, build_vocabulary(counts, 1))
 
 
 def test_aggregate_year_profiles_sums_counts_by_year():

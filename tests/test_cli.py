@@ -343,6 +343,19 @@ def test_run_mini_corpus_script_runs_the_checked_in_config(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["demo"]
 
 
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record the arguments of every call to ``module.name``."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def _write_export(path: Path, abstracts: list[str], first_year: int = 2010) -> Path:
     """A small export in the bundled corpus's layout plus an ``EID`` id
     column (map it with ``schema.id = EID``); one document per year from
@@ -357,17 +370,22 @@ def _write_export(path: Path, abstracts: list[str], first_year: int = 2010) -> P
 
 
 def test_stoplist_and_auto_stop_df_vocabulary_matches_a_counter_oracle(
-    tmp_path, write_mini_config, mini_corpus
+    tmp_path, write_mini_config, mini_corpus, monkeypatch
 ):
     stoplist = tmp_path / "stop.txt"
     stoplist.write_text("# project terms\nRegistry\nwarehouse\n", encoding="utf-8")
     extra = {"stoplists": stoplist, "auto_stop_df": 0.5}
     full, staged = tmp_path / "full", tmp_path / "staged"
+    counted = _count_calls(monkeypatch, textpipe, "count_terms")
+    stopped = _count_calls(monkeypatch, textpipe, "remove_stopwords")
     assert main(["run", "--config", str(write_mini_config(full, **extra))]) == 0
+    assert len(counted) == 1
     staged_config = write_mini_config(staged, **extra)
     for stage in ALL_STAGES:
         assert main([stage, "--config", str(staged_config)]) == 0
     assert _artifact_bytes(full) == _artifact_bytes(staged)
+    assert len(counted) == 2  # once more, by the staged ingest
+    assert stopped == []
 
     token_lists = [s.tokens for s in tokenize_documents(mini_corpus, 2)]
     df = Counter(t for tokens in token_lists for t in set(tokens))
@@ -392,17 +410,13 @@ def test_stoplist_and_auto_stop_df_vocabulary_matches_a_counter_oracle(
 def test_stats_reads_uniqueness_from_ingest_without_tokenizing(
     tmp_path, write_mini_config, mini_corpus, monkeypatch
 ):
-    calls = []
     tokenize = textpipe.tokenize_documents
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return tokenize(*args, **kwargs)
-
-    monkeypatch.setattr(textpipe, "tokenize_documents", counted)
+    calls = _count_calls(monkeypatch, textpipe, "tokenize_documents")
+    counted = _count_calls(monkeypatch, textpipe, "count_terms")
     full = tmp_path / "full"
     assert main(["run", "--config", str(write_mini_config(full))]) == 0
     assert len(calls) == 1
+    assert len(counted) == 1
 
     staged = tmp_path / "staged"
     config = write_mini_config(staged)
@@ -415,7 +429,7 @@ def test_stats_reads_uniqueness_from_ingest_without_tokenizing(
     assert main(["stats", "--config", str(config)]) == 0
     assert (staged / "stats.json").read_bytes() == (full / "stats.json").read_bytes()
 
-    uniq = uniqueness_stats(tokenize(mini_corpus, 2))
+    uniq = uniqueness_stats(textpipe.count_terms(tokenize(mini_corpus, 2)))
     stats_json = json.loads((staged / "stats.json").read_text(encoding="utf-8"))
     token_report = json.loads((staged / "token_report.json").read_text(encoding="utf-8"))
     assert stats_json["uniqueness"] == token_report["uniqueness"] == {
@@ -504,6 +518,36 @@ def test_documents_before_1900_survive_the_corpus_artifact(tmp_path, write_mini_
     assert _artifact_bytes(full) == _artifact_bytes(staged)
     assert json.loads((full / "stats.json").read_text(encoding="utf-8"))["documents"] == 4
     assert (full / "yearly_counts.tsv").read_text(encoding="utf-8").splitlines()[1] == "1880\t1"
+
+
+def test_an_id_that_no_tsv_cell_can_hold_is_rejected(tmp_path, write_mini_config):
+    # A tab or a line boundary in an id would split the id's rows of
+    # dtm.tsv, so a stage subcommand could not read them back.
+    breaks = ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+    abstracts = ["alpha alpha beta gamma", "beta beta gamma alpha",
+                 "gamma gamma alpha beta", "alpha beta gamma gamma"]
+    source = tmp_path / "export.csv"
+    with open(source, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(["EID", "Title", "Abstract", "Author Keywords", "Year",
+                         "Document Type", "Cited by"])
+        writer.writerows([f"e{i}", f"Title {i}", text, "", 2010 + i, "Article", i]
+                         for i, text in enumerate(abstracts))
+        writer.writerows([f"e2{brk}x", "Title", "alpha beta", "", 2011, "Article", 0]
+                         for brk in breaks)
+    extra = {"schema.id": "EID", "periods": "Early:2010-2011, Late:2012-2013"}
+    full, staged = tmp_path / "full", tmp_path / "staged"
+    assert main(["run", "--config", str(write_mini_config(full, source=source, **extra))]) == 0
+    staged_config = write_mini_config(staged, source=source, **extra)
+    for stage in ALL_STAGES:
+        assert main([stage, "--config", str(staged_config)]) == 0
+    assert _artifact_bytes(full) == _artifact_bytes(staged)
+    assert (full / "rejects.tsv").read_text(encoding="utf-8").splitlines() == [
+        f"{5 + k}\tid {'e2' + brk + 'x'!r} holds a tab or a line break"
+        for k, brk in enumerate(breaks)
+    ]
+    assert json.loads((full / "filter_report.json").read_text(encoding="utf-8"))["loaded"] == 4
 
 
 def test_run_parses_no_artifact_it_wrote(tmp_path, write_mini_config, monkeypatch):

@@ -23,7 +23,7 @@ from lexevo.periods import (
     write_periods_json,
     write_periods_markdown,
 )
-from lexevo.textpipe import TokenStream, build_dtm, build_vocabulary
+from lexevo.textpipe import TokenStream, build_dtm, build_vocabulary, count_terms
 
 
 def _doc(i, year, cites=0, title=None):
@@ -51,9 +51,9 @@ def _fixture():
         TokenStream("d2", ("new", "new", "shared")),
         TokenStream("d3", ("new", "shared", "shared")),
     ]
-    vocab = build_vocabulary(streams, 1)
+    counts = count_terms(streams)
     spec = PeriodSpec.parse("Early:2009-2015,Late:2016-2022")
-    return _corpus(docs), build_dtm(streams, vocab), spec
+    return _corpus(docs), build_dtm(counts, build_vocabulary(counts, 1)), spec
 
 
 # --- period spec -------------------------------------------------------------
@@ -144,8 +144,8 @@ def test_characteristic_terms_account_for_unassigned_documents():
         TokenStream("d1", ("aa",)),
         TokenStream("d2", ("bb", "bb", "bb")),
     ]
-    vocab = build_vocabulary(streams, 1)
-    dtm = build_dtm(streams, vocab)
+    counts = count_terms(streams)
+    dtm = build_dtm(counts, build_vocabulary(counts, 1))
     spec = PeriodSpec.parse("Only:2009-2015")
     assignment = assign_periods(_corpus(docs), spec)
 
@@ -180,9 +180,9 @@ def test_characteristic_terms_scale_like_sqrt_under_count_doubling():
             ("d3", ("new", "shared", "shared")),
         ]
     ]
-    vocab = build_vocabulary(doubled_streams, 1)
+    counts = count_terms(doubled_streams)
     doubled = characteristic_terms(
-        build_dtm(doubled_streams, vocab), assignment, "Early", k=3
+        build_dtm(counts, build_vocabulary(counts, 1)), assignment, "Early", k=3
     )
     assert [t for t, _ in doubled] == [t for t, _ in base]
     for (_, s2), (_, s1) in zip(doubled, base):

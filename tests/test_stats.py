@@ -18,7 +18,7 @@ from lexevo.stats import (
     write_term_table_tsv,
     write_yearly_counts_tsv,
 )
-from lexevo.textpipe import build_vocabulary, TokenStream
+from lexevo.textpipe import build_vocabulary, count_terms, TokenStream
 
 
 def _corpus(years_types):
@@ -96,7 +96,7 @@ def _vocab_from(counts: dict[str, int]):
     stream = TokenStream(
         "d0", tuple(t for t, c in counts.items() for _ in range(c))
     )
-    return build_vocabulary([stream], min_total_frequency=1)
+    return build_vocabulary(count_terms([stream]), min_total_frequency=1)
 
 
 def test_term_frequency_table_top_k_and_shares():

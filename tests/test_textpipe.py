@@ -14,13 +14,16 @@ from lexevo.errors import (
     UndefinedStatisticError,
     ValidationError,
 )
+from lexevo.stopwords import ENGLISH_STOPWORDS
 from lexevo.textpipe import (
     DocTermMatrix,
     TokenStream,
+    UniquenessStats,
     WeightScheme,
     auto_stop_terms,
     build_dtm,
     build_vocabulary,
+    count_terms,
     dtm_from_triplets,
     load_stoplist,
     read_counts_tsv,
@@ -36,6 +39,15 @@ from lexevo.textpipe import (
 
 def _streams(*token_lists):
     return [TokenStream(f"d{i}", tuple(ts)) for i, ts in enumerate(token_lists)]
+
+
+def _counts(*token_lists):
+    return count_terms(_streams(*token_lists))
+
+
+def _dtm(*token_lists):
+    counts = _counts(*token_lists)
+    return build_dtm(counts, build_vocabulary(counts, 1))
 
 
 # --- tokenization -----------------------------------------------------------
@@ -116,27 +128,27 @@ def test_load_stoplist_skips_comments_and_lowercases(tmp_path):
 
 
 def test_auto_stop_terms_threshold():
-    streams = _streams(
+    counts = _counts(
         ["data", "care"], ["data", "mining"], ["data"], ["care"],
     )
     # "data" appears in 3/4 documents, "care" in 2/4.
-    assert auto_stop_terms(streams, 0.5) == frozenset({"data"})
-    assert auto_stop_terms(streams, 0.75) == frozenset()
-    assert auto_stop_terms(streams, 1.0) == frozenset()
+    assert auto_stop_terms(counts, 0.5) == frozenset({"data"})
+    assert auto_stop_terms(counts, 0.75) == frozenset()
+    assert auto_stop_terms(counts, 1.0) == frozenset()
 
 
 def test_auto_stop_terms_validates_fraction():
     with pytest.raises(ValidationError):
-        auto_stop_terms(_streams(["a"]), 0.0)
+        auto_stop_terms(_counts(["a"]), 0.0)
     with pytest.raises(ValidationError):
-        auto_stop_terms(_streams(["a"]), 1.5)
+        auto_stop_terms(_counts(["a"]), 1.5)
 
 
 # --- uniqueness -------------------------------------------------------------
 
 
 def test_uniqueness_stats_hand_computed():
-    stats = uniqueness_stats(_streams(["a", "b", "a", "c"], ["x", "x"]))
+    stats = uniqueness_stats(_counts(["a", "b", "a", "c"], ["x", "x"]))
     assert stats.mean_tokens == 3.0
     assert stats.mean_unique == 2.0
     assert stats.unique_ratio == pytest.approx((3 / 4 + 1 / 2) / 2)
@@ -144,24 +156,41 @@ def test_uniqueness_stats_hand_computed():
 
 
 def test_uniqueness_stats_skips_empty_docs_in_the_ratio_only():
-    stats = uniqueness_stats(_streams(["a", "a"], []))
+    stats = uniqueness_stats(_counts(["a", "a"], []))
     assert stats.mean_tokens == 1.0   # empty doc still counts in the means
     assert stats.unique_ratio == 0.5  # but not in the ratio mean
 
 
 def test_uniqueness_stats_undefined_cases():
     with pytest.raises(UndefinedStatisticError):
-        uniqueness_stats([])
+        uniqueness_stats(_counts())
     with pytest.raises(UndefinedStatisticError):
-        uniqueness_stats(_streams([], []))
+        uniqueness_stats(_counts([], []))
+
+
+@given(st.lists(st.lists(st.sampled_from(["aa", "bb", "cc", "dd", "ee"]), max_size=9),
+                min_size=1, max_size=8))
+def test_uniqueness_stats_equals_the_per_stream_formula(token_lists):
+    totals = [len(tokens) for tokens in token_lists]
+    uniques = [len(set(tokens)) for tokens in token_lists]
+    ratios = [u / t for u, t in zip(uniques, totals) if t > 0]
+    if not ratios:
+        with pytest.raises(UndefinedStatisticError):
+            uniqueness_stats(_counts(*token_lists))
+        return
+    assert uniqueness_stats(_counts(*token_lists)) == UniquenessStats(
+        mean_tokens=sum(totals) / len(token_lists),
+        mean_unique=sum(uniques) / len(token_lists),
+        unique_ratio=sum(ratios) / len(ratios),
+    )
 
 
 # --- vocabulary -------------------------------------------------------------
 
 
 def test_build_vocabulary_orders_by_frequency_then_term():
-    streams = _streams(["bb", "bb", "aa", "cc"], ["aa", "cc", "cc"])
-    vocab = build_vocabulary(streams, min_total_frequency=2)
+    counts = _counts(["bb", "bb", "aa", "cc"], ["aa", "cc", "cc"])
+    vocab = build_vocabulary(counts, min_total_frequency=2)
     # cc:3, aa:2, bb:2 -> ties between aa and bb broken lexicographically
     assert vocab.terms == ("cc", "aa", "bb")
     assert vocab.total_frequency == {"cc": 3, "aa": 2, "bb": 2}
@@ -170,19 +199,18 @@ def test_build_vocabulary_orders_by_frequency_then_term():
 
 
 def test_build_vocabulary_threshold_drops_rare_terms():
-    streams = _streams(["aa", "aa", "bb"])
-    vocab = build_vocabulary(streams, min_total_frequency=2)
+    vocab = build_vocabulary(_counts(["aa", "aa", "bb"]), min_total_frequency=2)
     assert vocab.terms == ("aa",)
 
 
 def test_build_vocabulary_empty_result_names_the_threshold():
     with pytest.raises(ConfigError, match="min_total_frequency=9"):
-        build_vocabulary(_streams(["aa"]), min_total_frequency=9)
+        build_vocabulary(_counts(["aa"]), min_total_frequency=9)
 
 
 def test_build_vocabulary_rejects_non_positive_threshold():
     with pytest.raises(ValidationError):
-        build_vocabulary(_streams(["aa"]), min_total_frequency=0)
+        build_vocabulary(_counts(["aa"]), min_total_frequency=0)
 
 
 @given(
@@ -196,20 +224,20 @@ def test_build_vocabulary_rejects_non_positive_threshold():
     st.integers(min_value=1, max_value=4),
 )
 def test_vocabulary_threshold_monotonicity(token_lists, threshold):
-    streams = _streams(*token_lists)
+    counts = _counts(*token_lists)
     try:
-        low = build_vocabulary(streams, threshold)
+        low = build_vocabulary(counts, threshold)
     except ConfigError:
         return  # nothing reaches the lower threshold; nothing to compare
     try:
-        high = build_vocabulary(streams, threshold + 1)
+        high = build_vocabulary(counts, threshold + 1)
     except ConfigError:
         return
     assert set(high.terms) <= set(low.terms)
 
 
-def test_vocabulary_matches_counter_oracle(mini_streams):
-    vocab = build_vocabulary(mini_streams, min_total_frequency=5)
+def test_vocabulary_matches_counter_oracle(mini_streams, mini_counts):
+    vocab = build_vocabulary(mini_counts, min_total_frequency=5, stoplist=ENGLISH_STOPWORDS)
     totals, dfs = oracles.vocabulary_counter([s.tokens for s in mini_streams])
     for term in vocab.terms:
         assert vocab.total_frequency[term] == totals[term]
@@ -226,57 +254,64 @@ def test_vocabulary_matches_counter_oracle(mini_streams):
 
 def test_build_dtm_counts_match_counter_oracle():
     streams = _streams(
-        ["aa", "bb", "aa"],
-        ["bb", "cc"],
+        ["aa", "the", "bb", "aa"],
+        ["bb", "cc", "the"],
         ["aa", "cc", "cc", "dd"],
+        ["the", "of", "the"],
     )
-    vocab = build_vocabulary(streams, min_total_frequency=1)
-    dtm = build_dtm(streams, vocab)
+    stoplist = frozenset({"the", "of"})
+    counts = count_terms(streams)
+    vocab = build_vocabulary(counts, min_total_frequency=1, stoplist=stoplist)
+    dtm = build_dtm(counts, vocab)
+    assert not stoplist & set(vocab.terms)
+    # The last document holds only stopwords, so its row is pruned.
+    assert dtm.rows == ("d0", "d1", "d2")
+    assert dtm.pruned_rows == ("d3",)
     # Vocabulary order (aa, cc, bb, dd) is not first-appearance order, yet
     # the matrix stays canonical, like a CSR built row by row.
     assert dtm.counts.has_canonical_format
     dense = dtm.counts.toarray()
-    for i, stream in enumerate(streams):
-        counts = Counter(stream.tokens)
+    for i, stream in enumerate(streams[:3]):
+        expected = Counter(t for t in stream.tokens if t not in stoplist)
         for term, j in vocab.index.items():
-            assert dense[i, j] == counts[term]
+            assert dense[i, j] == expected[term]
     assert dtm.grand_total == dense.sum()
     assert np.array_equal(dtm.row_margins, dense.sum(axis=1))
     assert np.array_equal(dtm.col_margins, dense.sum(axis=0))
 
 
 def test_build_dtm_prunes_empty_rows_and_reports_them():
-    streams = _streams(["aa", "aa"], ["zz"], ["aa"])
-    vocab = build_vocabulary(streams, min_total_frequency=2)  # only "aa" kept
-    dtm = build_dtm(streams, vocab)
+    counts = _counts(["aa", "aa"], ["zz"], ["aa"])
+    vocab = build_vocabulary(counts, min_total_frequency=2)  # only "aa" kept
+    dtm = build_dtm(counts, vocab)
     assert dtm.rows == ("d0", "d2")
     assert dtm.pruned_rows == ("d1",)
     assert dtm.shape == (2, 1)
 
 
 def test_build_dtm_prunes_all_zero_columns_and_narrows_vocabulary():
-    streams = _streams(["aa", "bb"], ["aa"])
-    vocab = build_vocabulary(_streams(["aa", "bb", "cc"], ["aa", "cc"]), 1)
+    counts = _counts(["aa", "bb"], ["aa"])
+    vocab = build_vocabulary(_counts(["aa", "bb", "cc"], ["aa", "cc"]), 1)
     assert "cc" in vocab.terms
-    dtm = build_dtm(streams, vocab)  # cc never occurs in these streams
+    dtm = build_dtm(counts, vocab)  # cc never occurs in these counts
     assert "cc" not in dtm.terms
     assert "cc" in dtm.pruned_terms
     assert dtm.vocabulary.index == {t: i for i, t in enumerate(dtm.terms)}
 
 
 def test_build_dtm_all_rows_empty_is_an_error():
-    vocab = build_vocabulary(_streams(["aa"]), 1)
+    vocab = build_vocabulary(_counts(["aa"]), 1)
     with pytest.raises(EmptyMatrixError):
-        build_dtm(_streams([], []), vocab)
+        build_dtm(_counts([], []), vocab)
 
 
 @given(st.permutations(range(4)))
 def test_build_dtm_row_order_follows_stream_order(perm):
     base = [["aa", "bb"], ["bb"], ["aa", "aa"], ["bb", "aa"]]
     streams = _streams(*base)
-    vocab = build_vocabulary(streams, 1)
+    vocab = build_vocabulary(count_terms(streams), 1)
     shuffled = [streams[i] for i in perm]
-    dtm = build_dtm(shuffled, vocab)
+    dtm = build_dtm(count_terms(shuffled), vocab)
     assert dtm.rows == tuple(f"d{i}" for i in perm)
     dense = dtm.counts.toarray()
     for pos, i in enumerate(perm):
@@ -290,13 +325,11 @@ def test_build_dtm_row_order_follows_stream_order(perm):
 
 @pytest.fixture()
 def small_dtm():
-    streams = _streams(
+    return _dtm(
         ["aa", "aa", "bb"],
         ["aa", "cc"],
         ["bb", "bb", "cc", "aa"],
     )
-    vocab = build_vocabulary(streams, 1)
-    return build_dtm(streams, vocab)
 
 
 def test_relative_frequency_rows_sum_to_one(small_dtm):
@@ -324,8 +357,7 @@ def test_tf_idf_hand_computed(small_dtm):
 
 
 def test_tf_idf_single_document_is_degenerate():
-    streams = _streams(["aa", "bb"])
-    dtm = build_dtm(streams, build_vocabulary(streams, 1))
+    dtm = _dtm(["aa", "bb"])
     with pytest.raises(DegenerateCorpusError):
         weight_matrix(dtm, WeightScheme.TF_IDF)
     with pytest.raises(DegenerateCorpusError):
@@ -335,8 +367,7 @@ def test_tf_idf_single_document_is_degenerate():
 def test_entropy_hand_computed():
     # Column "uu" is uniform across both docs -> factor 0 -> weight 0.
     # Column "kk" is concentrated in one doc -> factor 1 -> weight ln(1+f).
-    streams = _streams(["uu", "kk", "kk"], ["uu"])
-    dtm = build_dtm(streams, build_vocabulary(streams, 1))
+    dtm = _dtm(["uu", "kk", "kk"], ["uu"])
     wm = weight_matrix(dtm, WeightScheme.ENTROPY)
     dense = wm.values.toarray()
     vocab = dtm.vocabulary.index
@@ -350,8 +381,7 @@ def test_entropy_gives_an_evenly_spread_term_exactly_zero_weight(n, count):
     # "even" has the same count in all n documents, "uneven" is in all of
     # them but twice in the first, and "kk" is only in the first.
     first = ["even"] * count + ["uneven", "uneven", "kk"]
-    streams = _streams(first, *(["even"] * count + ["uneven"] for _ in range(n - 1)))
-    dtm = build_dtm(streams, build_vocabulary(streams, 1))
+    dtm = _dtm(first, *(["even"] * count + ["uneven"] for _ in range(n - 1)))
     values = weight_matrix(dtm, WeightScheme.ENTROPY).values
     index = dtm.vocabulary.index
     assert values[:, index["even"]].sum() == 0.0
