@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from itertools import count, islice
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Sequence
 
@@ -28,6 +29,9 @@ from .errors import DependencyError
 
 #: A table's declaration: each column's name and the type of its values.
 Columns = Sequence[tuple[str, type]]
+
+#: Rows that :func:`write_tsv` converts and writes at a time.
+_BLOCK_ROWS = 8192
 
 
 @contextmanager
@@ -51,12 +55,25 @@ def write_tsv(
     dest: str | Path, columns: Columns, values: Sequence[Iterable], *, header: bool = True
 ) -> None:
     """``values`` holds one list, array or generator per declared column, all
-    of one length; the line of column names comes first if ``header``."""
+    of one length; the line of column names comes first if ``header``. Rows
+    are converted and written ``_BLOCK_ROWS`` at a time, so no column is ever
+    held as text (or as Python objects) whole."""
+    kinds = [kind for _, kind in columns]
+    sources = [v if isinstance(v, np.ndarray) else iter(v) for v in values]
     with open_writer(dest) as fh:
         if header:
             fh.write("\t".join(name for name, _ in columns) + "\n")
-        cells = [_to_cells(kind, col) for (_, kind), col in zip(columns, values, strict=True)]
-        fh.writelines("\t".join(row) + "\n" for row in zip(*cells, strict=True))
+        for start in count(0, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            block = [
+                _to_cells(kind, src[start:stop] if isinstance(src, np.ndarray)
+                          else islice(src, _BLOCK_ROWS))
+                for kind, src in zip(kinds, sources, strict=True)
+            ]
+            lines = ["\t".join(row) + "\n" for row in zip(*block, strict=True)]
+            if not lines:
+                break
+            fh.writelines(lines)
 
 
 def _to_cells(kind: type, values: Iterable) -> Iterable[str]:

@@ -12,6 +12,22 @@ standard coordinates scaled by the singular values, so inter-point
 Euclidean distances approximate chi-square distances. The total inertia
 equals the chi-square statistic of the table divided by the grand total.
 
+The fit never forms S or any other rows x columns array. With
+Q = D_a^{-1/2} P D_b^{-1/2} kept sparse, S = Q - sqrt(a) sqrt(b)^T, and the
+shorter side's Gram matrix (S S^T = Q Q^T - sqrt(a) sqrt(a)^T for the rows,
+the same with the sides swapped for the columns) is a dense min(rows, cols)
+square matrix. Its eigenvalues are the squared singular values, all of them
+reported; its eigenvectors are that side's singular vectors, and the other
+side's follow from the transition formula S^T w / sigma for the retained
+dimensions only (Greenacre, *Correspondence Analysis in Practice*, 3rd ed.,
+2017).
+
+Zero rule: an eigenvalue at or below max(rows, cols) times the float64
+machine epsilon is zero, and its dimension is dropped. The Gram matrix has
+one exactly-zero eigenvalue (the trivial dimension, on sqrt(a)), which comes
+out near 1e-15 instead; the rounding error of an eigenvalue is about
+n * eps * lambda_1, and lambda_1 <= 1 in correspondence analysis.
+
 Supplementary profiles (here: yearly term profiles) are projected through
 the row transition formula and never influence the axes.
 
@@ -57,9 +73,6 @@ __all__ = [
 logger = logging.getLogger("lexevo.ca")
 
 SIGN_CONVENTION = "colmax-positive-v1"
-
-#: Singular values at or below this are treated as zero and dropped.
-SV_EPS = 1e-12
 
 PointKind = Literal["row", "col"]
 
@@ -114,9 +127,10 @@ def _margin(m: np.ndarray | sparse.spmatrix, axis: int) -> np.ndarray:
 class CaModel:
     """Fitted correspondence analysis.
 
-    ``singular_values`` holds every non-trivial singular value (descending),
-    so ``inertia_total`` equals their squared sum; coordinate matrices keep
-    only the retained ``dims`` leading dimensions.
+    ``singular_values`` holds every non-trivial singular value (descending;
+    non-trivial under the module's zero rule), so ``inertia_total`` equals
+    their squared sum; coordinate matrices keep only the retained ``dims``
+    leading dimensions.
     """
 
     row_labels: tuple[str, ...]
@@ -161,10 +175,12 @@ def _canonicalize_signs(
 def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
     """Fit correspondence analysis and retain the top ``dims`` dimensions.
 
-    ``dims`` must satisfy 1 <= dims <= min(rows, cols) - 1. Dimensions
-    whose singular value does not exceed ``SV_EPS`` are dropped, so the
-    retained count can be smaller than requested (zero for an independent
-    table).
+    ``dims`` must satisfy 1 <= dims <= min(rows, cols) - 1. A squared
+    singular value at or below ``max(rows, cols)`` machine epsilons is zero
+    (the module's zero rule) and its dimension is dropped, so the retained
+    count can be smaller than requested (zero for an independent table).
+    The only dense arrays are the min(rows, cols) square Gram matrix and its
+    eigenvectors, and arrays of one side's length times ``dims``.
     """
     inp.validate()
     n_rows, n_cols = inp.matrix.shape
@@ -174,34 +190,37 @@ def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
             f"dims must be between 1 and min(rows, cols) - 1 = {max_dims}, got {dims}"
         )
 
-    # One dense float64 working buffer, turned in place into the
-    # standardized residuals S. ``expected`` is the only other dense array
-    # and is freed before the SVD copies S.
-    m = inp.matrix
-    s = m.astype(np.float64).toarray() if sparse.issparse(m) else np.array(m, np.float64)
-    s /= s.sum()
-    a = s.sum(axis=1)
-    b = s.sum(axis=0)
-    expected = np.outer(a, b)
-    s -= expected
-    s /= np.sqrt(expected, out=expected)
-    del expected
+    p = sparse.csr_matrix(inp.matrix, dtype=np.float64)
+    p = p / p.sum()
+    a, b = _margin(p, 1), _margin(p, 0)
+    root_a, root_b = np.sqrt(a), np.sqrt(b)
+    q = sparse.diags(1.0 / root_a) @ p @ sparse.diags(1.0 / root_b)
 
-    u, sv, vt = np.linalg.svd(s, full_matrices=False)
-    v = vt.T
-    keep = sv > SV_EPS
-    u, sv, v = u[:, keep], sv[keep], v[:, keep]
+    # S = Q - sqrt(a) sqrt(b)^T. Since Q sqrt(b) = sqrt(a), the rows' Gram
+    # matrix is S S^T = Q Q^T - sqrt(a) sqrt(a)^T; with more rows than
+    # columns, the same holds for S^T with the two sides swapped.
+    transposed = n_rows > n_cols
+    qs, root_s, root_l = (q.T.tocsr(), root_b, root_a) if transposed else (q, root_a, root_b)
+    gram = (qs @ qs.T).toarray()
+    gram -= np.outer(root_s, root_s)
+    eigvals, w = np.linalg.eigh(gram)
+    del gram
+    eigvals, w = eigvals[::-1], w[:, ::-1]
+    sv = np.sqrt(eigvals[eigvals > max(n_rows, n_cols) * np.finfo(np.float64).eps])
 
-    col_std_full = v / np.sqrt(b)[:, None]
-    _canonicalize_signs(u, v, col_std_full, inp.col_labels)
-    row_std_full = u / np.sqrt(a)[:, None]
+    # Transition formula, for the retained dimensions only: the other side's
+    # singular vectors are S^T w / sigma.
+    k = min(dims, sv.size)
+    w = np.ascontiguousarray(w[:, :k])
+    z = (qs.T @ w - np.outer(root_l, root_s @ w)) / sv[:k]
+    u, v = (z, w) if transposed else (w, z)
+
+    col_std = v / root_b[:, None]
+    _canonicalize_signs(u, v, col_std, inp.col_labels)
+    row_std = u / root_a[:, None]
 
     inertia_total = float(np.sum(sv**2))
     shares = sv**2 / inertia_total if inertia_total > 0 else np.zeros_like(sv)
-
-    k = min(dims, sv.size)
-    row_std = row_std_full[:, :k]
-    col_std = col_std_full[:, :k]
     return CaModel(
         row_labels=tuple(inp.row_labels),
         col_labels=tuple(inp.col_labels),

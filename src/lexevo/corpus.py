@@ -364,19 +364,32 @@ def filter_corpus(
     return replace(corpus, documents=tuple(survivors), provenance=report)
 
 
+class _LfLines:
+    """The target of a ``csv.writer`` whose ``\\r\\n`` line terminator makes it
+    quote every field holding ``\\r`` or ``\\n``: it ends each line with
+    ``\\n`` instead."""
+
+    def __init__(self, fh: IO[str]) -> None:
+        self._fh = fh
+
+    def write(self, line: str) -> int:
+        return self._fh.write(line[:-2] + "\n")
+
+
 def write_corpus_csv(
     corpus: Corpus,
     dest: str | Path,
     schema: CsvSchema = CANONICAL_SCHEMA,
 ) -> None:
     """Canonical writer: RFC 4180, UTF-8, fields in schema order,
-    ``\\n`` line endings, minimal quoting. Keywords joined with ``"; "``.
+    ``\\n`` line endings, minimal quoting (a field holding ``\\r`` or
+    ``\\n`` is quoted). Keywords joined with ``"; "``.
 
     parse -> write -> parse round-trips to field-identical documents.
     """
     columns = schema.mapped_columns()
     with artifacts.open_writer(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+        writer = csv.writer(_LfLines(fh), lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
         writer.writerow([col for _, col in columns])
         for doc in corpus.documents:
             values = {

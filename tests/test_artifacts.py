@@ -43,6 +43,24 @@ def test_successful_write_replaces_the_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
+
+def test_table_longer_than_one_block_is_written_row_by_row(tmp_path):
+    n = 2 * artifacts._BLOCK_ROWS + 5
+    labels = np.asarray([f"t{i}" for i in range(n)], dtype=object)
+    values = np.arange(n) / 7.0
+    flags = [None if i % 3 else i for i in range(n)]
+    columns = (*_TYPED, ("flag", int))
+    path = tmp_path / "long.tsv"
+    artifacts.write_tsv(path, columns, [labels, (i * i for i in range(n)), values, flags])
+    expected = "label\tcount\tvalue\tflag\n" + "".join(
+        f"t{i}\t{i * i}\t{values[i].item()!r}\t{'' if i % 3 else i}\n" for i in range(n)
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+
+    with pytest.raises(ValueError):
+        artifacts.write_tsv(path, _TYPED, [labels, range(n), values[:-1]])
+    assert path.read_bytes() == expected.encode("utf-8")
+
 @pytest.mark.parametrize(
     "text, line, cells",
     [("a\tb\n1\t2\n3\n", 3, 1), ("a\tb\n1\t2\t3\n", 2, 3)],
@@ -176,8 +194,8 @@ def test_guard_detects_writes_and_private_imports(tmp_path):
 # --- no dense copy of a sparse matrix ------------------------------------------
 
 #: (module, function) allowed to densify: ``group_sum``'s output is a small
-#: groups x terms table, and ``compute_ca`` needs the dense residual matrix
-#: for its full SVD.
+#: groups x terms table, and ``compute_ca`` densifies only the
+#: min(rows, cols) square Gram matrix of the shorter side, never the table.
 _DENSE_ALLOWED = {("textpipe", "group_sum"), ("ca", "compute_ca")}
 
 

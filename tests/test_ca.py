@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,57 @@ def test_independent_table_has_no_retained_dimensions():
     assert model.inertia_total == 0.0
     assert model.singular_values.size == 0
 
+
+
+def _labeled(matrix):
+    rows = tuple(f"r{i}" for i in range(matrix.shape[0]))
+    cols = tuple(f"c{j}" for j in range(matrix.shape[1]))
+    return CaInput(matrix, rows, cols)
+
+
+def test_fit_allocates_no_rows_by_columns_array():
+    # 300 x 40,000 with every row and column occupied: the dense table alone
+    # would take 92 MiB. Fitting it, and its transpose, must trace far less.
+    rng = np.random.default_rng(8)
+    n_rows, n_cols = 300, 40_000
+    rows = np.concatenate([np.arange(n_rows), rng.integers(0, n_rows, 80_000 + n_cols)])
+    cols = np.concatenate([rng.integers(0, n_cols, n_rows + 80_000), np.arange(n_cols)])
+    table = sparse.csr_matrix(
+        (rng.integers(1, 5, rows.size).astype(np.float64), (rows, cols)),
+        shape=(n_rows, n_cols),
+    )
+    dense_bytes = n_rows * n_cols * 8
+    for matrix in (table, table.T.tocsr()):
+        inp = _labeled(matrix)
+        tracemalloc.start()
+        try:
+            model = compute_ca(inp, dims=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4, (matrix.shape, peak)
+        assert model.singular_values.size == n_rows - 1
+
+
+def test_transposed_table_swaps_the_two_clouds():
+    # FIXTURE has more rows than columns and its transpose fewer, so the two
+    # fits decompose different sides' Gram matrices.
+    model = _model(dims=3)
+    swapped = compute_ca(_labeled(FIXTURE.T), dims=3)
+    assert np.allclose(swapped.singular_values, model.singular_values, rtol=0, atol=1e-12)
+    signs = np.sign(np.sum(swapped.row_coords_principal * model.col_coords_principal, axis=0))
+    assert np.allclose(swapped.row_coords_principal * signs, model.col_coords_principal,
+                       rtol=0, atol=1e-12)
+    assert np.allclose(swapped.col_coords_principal * signs, model.row_coords_principal,
+                       rtol=0, atol=1e-12)
+
+
+def test_proportional_rows_drop_a_dimension_in_either_orientation():
+    table = np.array([[1, 2, 3, 4], [2, 4, 6, 8], [5, 1, 0, 2], [0, 3, 1, 1]], np.float64)
+    for matrix in (table, table.T):
+        model = compute_ca(_labeled(matrix), dims=3)
+        assert model.singular_values.size == 2
+        assert model.dims == 2
 
 # --- validation ---------------------------------------------------------------
 

@@ -550,6 +550,30 @@ def test_an_id_that_no_tsv_cell_can_hold_is_rejected(tmp_path, write_mini_config
     assert json.loads((full / "filter_report.json").read_text(encoding="utf-8"))["loaded"] == 4
 
 
+
+def test_a_carriage_return_in_a_field_survives_the_corpus_artifact(
+    tmp_path, write_mini_config
+):
+    # A bare "\r" left unquoted in corpus.csv would end its record early,
+    # so every stage subcommand after ingest would fail to read it back.
+    abstracts = ["alpha alpha beta gamma", "beta beta gamma alpha",
+                 "gamma gamma alpha beta", "alpha beta gamma gamma"]
+    source = tmp_path / "export.csv"
+    with open(source, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(["EID", "Title", "Abstract", "Author Keywords", "Year",
+                         "Document Type", "Cited by"])
+        writer.writerows([f"e{i}", f"Title\r{i}", text, "", 2010 + i, "Article", i]
+                         for i, text in enumerate(abstracts))
+    extra = {"schema.id": "EID", "periods": "Early:2010-2011, Late:2012-2013"}
+    full, staged = tmp_path / "full", tmp_path / "staged"
+    assert main(["run", "--config", str(write_mini_config(full, source=source, **extra))]) == 0
+    staged_config = write_mini_config(staged, source=source, **extra)
+    for stage in ALL_STAGES:
+        assert main([stage, "--config", str(staged_config)]) == 0, stage
+    assert _artifact_bytes(full) == _artifact_bytes(staged)
+    assert b'"Title\r1"' in (full / "corpus.csv").read_bytes()
+
 def test_run_parses_no_artifact_it_wrote(tmp_path, write_mini_config, monkeypatch):
     staged = tmp_path / "staged"
     staged_config = write_mini_config(staged)

@@ -41,6 +41,20 @@ def test_readme_library_example_runs_on_the_bundled_corpus(capsys):
     assert capsys.readouterr().out.strip()
 
 
+
+def test_the_command_line_does_not_import_scipy_linalg():
+    # Importing scipy.linalg adds about 0.13 s to every process's start-up.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lexevo.cli; print('scipy.linalg' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
 def _patch_targets() -> list[tuple[str, str]]:
     """(module, attribute) of every entry in ``traced.PATCHES``, read
     without importing the script."""
