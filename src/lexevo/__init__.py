@@ -70,7 +70,6 @@ from .textpipe import (
     TokenStream,
     Vocabulary,
     WeightScheme,
-    WeightedMatrix,
     build_dtm,
     build_vocabulary,
     count_terms,
@@ -123,7 +122,6 @@ __all__ = [
     "TermCounts",
     "Vocabulary",
     "DocTermMatrix",
-    "WeightedMatrix",
     "WeightScheme",
     "tokenize",
     "tokenize_documents",

@@ -51,7 +51,7 @@ from scipy import sparse
 from . import artifacts
 from .corpus import Corpus
 from .errors import DataError, LabelNotFoundError, ValidationError
-from .textpipe import DocTermMatrix, WeightedMatrix, group_sum
+from .textpipe import DocTermMatrix, group_sum
 
 __all__ = [
     "SIGN_CONVENTION",
@@ -89,10 +89,6 @@ class CaInput:
     @classmethod
     def from_counts(cls, dtm: DocTermMatrix) -> "CaInput":
         return cls(dtm.counts, dtm.rows, dtm.terms)
-
-    @classmethod
-    def from_weighted(cls, wm: WeightedMatrix) -> "CaInput":
-        return cls(wm.values, wm.rows, wm.terms)
 
     def validate(self) -> None:
         m = self.matrix
@@ -275,24 +271,26 @@ def project_supplementary(
 
 
 def aggregate_year_profiles(
-    dtm: DocTermMatrix, corpus: Corpus
+    inp: CaInput, corpus: Corpus
 ) -> list[tuple[int, np.ndarray]]:
-    """Column-wise count sums per publication year, ascending by year.
+    """Column-wise sums of the CA input's rows per publication year,
+    ascending by year. The rows summed are those the model is fitted on, so
+    a year's projection is the mass-weighted centroid of its documents.
 
     Every matrix row must map to a corpus document (consistency error
-    otherwise). A year whose documents were all pruned from the matrix
-    would have a zero profile; such years are omitted with a warning.
+    otherwise). A year whose rows are all zero would have a zero profile;
+    such years are omitted with a warning.
     """
     docs = corpus.by_id()
     row_years: list[int] = []
-    for doc_id in dtm.rows:
+    for doc_id in inp.row_labels:
         doc = docs.get(doc_id)
         if doc is None:
             raise DataError(f"matrix row {doc_id!r} has no corpus document")
         row_years.append(doc.year)
     years = sorted(set(row_years))
     slot = {year: i for i, year in enumerate(years)}
-    sums = group_sum(dtm.counts, [slot[y] for y in row_years], len(years))
+    sums = group_sum(sparse.csr_matrix(inp.matrix), [slot[y] for y in row_years], len(years))
     out: list[tuple[int, np.ndarray]] = []
     for year, profile in zip(years, sums):
         if profile.sum() <= 0:

@@ -38,9 +38,10 @@ __all__ = [
 
 _CA_INPUTS = ("counts", "weighted")
 
-#: Smallest allowed value of each bounded integer field.
+#: Smallest allowed value of each bounded integer field. The CA map plots
+#: dimensions 1 and 2, so a run needs ``ca_dims`` >= 2.
 _MINIMUM = {
-    "min_token_len": 1, "min_term_freq": 1, "ca_dims": 1, "top_terms": 1,
+    "min_token_len": 1, "min_term_freq": 1, "ca_dims": 2, "top_terms": 1,
     "top_docs": 1, "period_terms": 1, "cloud_terms": 1,
     "trend_horizon": 0, "trend_skip_last": 0,
 }

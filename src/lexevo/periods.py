@@ -281,6 +281,10 @@ def write_periods_json(
     artifacts.write_json(dest, payload)
 
 
+#: A Markdown table cell holds no column separator and no line break.
+_MD_CELL = str.maketrans({"|": "\\|", "\r": " ", "\n": " "})
+
+
 def write_periods_markdown(
     reports: Sequence[PeriodReport],
     corpus_size: int,
@@ -301,12 +305,14 @@ def write_periods_markdown(
             "\n",
             "| term | score |\n|---|---|\n",
         ]
-        lines += [f"| {t} | {s:.3f} |\n" for t, s in r.characteristic_terms]
+        lines += [
+            f"| {t.translate(_MD_CELL)} | {s:.3f} |\n" for t, s in r.characteristic_terms
+        ]
         lines += [
             "\n",
             "| title | year | citations |\n|---|---|---|\n",
         ]
         lines += [
-            f"| {t} | {y} | {c:,} |\n" for t, y, c in r.pioneer_docs
+            f"| {t.translate(_MD_CELL)} | {y} | {c:,} |\n" for t, y, c in r.pioneer_docs
         ]
     artifacts.write_text(dest, "".join(lines))

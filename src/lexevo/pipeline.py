@@ -252,9 +252,7 @@ def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
     textpipe.write_counts_tsv(dtm.rows, dtm.terms, dtm.counts, out / A_DTM)
     ws[A_VOCAB], ws[A_DTM] = dtm.vocabulary, dtm
     weighted = textpipe.weight_matrix(dtm, cfg.weighting)
-    textpipe.write_counts_tsv(
-        weighted.rows, weighted.terms, weighted.values, out / A_WEIGHTED, "weight"
-    )
+    textpipe.write_counts_tsv(dtm.rows, dtm.terms, weighted, out / A_WEIGHTED, "weight")
 
     uniq = textpipe.uniqueness_stats(counts)
     logger.info("ingest: %d of %d documents have no in-vocabulary token and are left out "
@@ -321,40 +319,35 @@ def stage_stats(cfg: RunConfig, ws: Workspace | None = None) -> None:
     artifacts.write_json(out / A_STATS, ws[A_STATS])
 
 
-def _weighted_ca_input(
-    dtm: textpipe.DocTermMatrix, scheme: textpipe.WeightScheme
-) -> ca_mod.CaInput:
-    """The weighted DTM as CA input. tf-idf gives a term in every document
-    zero weight (idf = ln 1), and entropy does the same to a term spread
-    evenly over every document. CA cannot take such an all-zero column, or
-    a document left with only such terms; that is a property of the data."""
-    weighted = textpipe.weight_matrix(dtm, scheme)
-    col_sums = np.asarray(weighted.values.sum(axis=0)).ravel()
-    row_sums = np.asarray(weighted.values.sum(axis=1)).ravel()
-    zero_terms = [weighted.terms[j] for j in np.flatnonzero(col_sums == 0)]
-    zero_docs = [weighted.rows[i] for i in np.flatnonzero(row_sums == 0)]
+def _ca_input(cfg: RunConfig, dtm: textpipe.DocTermMatrix) -> ca_mod.CaInput:
+    """The one matrix CA fits and projects the years from: the counts, or
+    the weighted DTM. tf-idf gives a term in every document zero weight
+    (idf = ln 1), and entropy does the same to a term spread evenly over
+    every document. CA cannot take such an all-zero column, or a document
+    left with only such terms; that is a property of the data."""
+    if cfg.ca_input == "counts":
+        return ca_mod.CaInput.from_counts(dtm)
+    weighted = textpipe.weight_matrix(dtm, cfg.weighting)
+    zero_terms = [dtm.terms[j] for j in np.flatnonzero(weighted.getnnz(axis=0) == 0)]
+    zero_docs = [dtm.rows[i] for i in np.flatnonzero(weighted.getnnz(axis=1) == 0)]
     if zero_terms or zero_docs:
-        spread = "" if weighted.scheme is textpipe.WeightScheme.TF_IDF else " equally often"
+        spread = "" if cfg.weighting is textpipe.WeightScheme.TF_IDF else " equally often"
         raise DegenerateCorpusError(
-            f"ca_input = weighted: {weighted.scheme.value} weighting gives zero weight "
+            f"ca_input = weighted: {cfg.weighting.value} weighting gives zero weight "
             f"to term(s) {zero_terms} and document(s) {zero_docs}, because each such "
-            f"term occurs{spread} in all {len(weighted.rows)} documents; "
+            f"term occurs{spread} in all {len(dtm.rows)} documents; "
             "use ca_input = counts or another weighting"
         )
-    return ca_mod.CaInput.from_weighted(weighted)
+    return ca_mod.CaInput(weighted, dtm.rows, dtm.terms)
 
 
 def stage_ca(cfg: RunConfig, ws: Workspace | None = None) -> None:
-    """Fit the correspondence model and project the year trajectory."""
+    """Fit the correspondence model and project the year trajectory, both
+    from the one CA input."""
     ws = _workspace(cfg, ws)
     out = ws.out
     corpus = ws[A_CORPUS]
-    dtm = ws[A_DTM]
-
-    if cfg.ca_input == "weighted":
-        inp = _weighted_ca_input(dtm, cfg.weighting)
-    else:
-        inp = ca_mod.CaInput.from_counts(dtm)
+    inp = _ca_input(cfg, ws[A_DTM])
     model = ca_mod.compute_ca(inp, cfg.ca_dims)
     ca_mod.write_coordinates_tsv(model, out / A_CA_COORDS)
     ca_mod.write_model_json(model, out / A_CA_MODEL)
@@ -362,7 +355,7 @@ def stage_ca(cfg: RunConfig, ws: Workspace | None = None) -> None:
 
     projections = [
         ca_mod.project_supplementary(model, profile, str(year))
-        for year, profile in ca_mod.aggregate_year_profiles(dtm, corpus)
+        for year, profile in ca_mod.aggregate_year_profiles(inp, corpus)
     ]
     ca_mod.write_year_coords_tsv(projections, out / A_YEAR_COORDS)
     ws[A_YEAR_COORDS] = projections

@@ -47,7 +47,6 @@ __all__ = [
     "Vocabulary",
     "DocTermMatrix",
     "WeightScheme",
-    "WeightedMatrix",
     "tokenize",
     "tokenize_documents",
     "load_stoplist",
@@ -89,6 +88,11 @@ def _alpha_fragments(run: str) -> Iterator[str]:
         yield "".join(current)
 
 
+def _normalize(text: str) -> str:
+    """NFC, then lowercase: the one normalization of tokens and stoplists."""
+    return unicodedata.normalize("NFC", text).lower()
+
+
 @dataclass(frozen=True)
 class TokenStream:
     """Ordered normalized tokens of one document."""
@@ -103,7 +107,7 @@ def tokenize(text: str, min_len: int = DEFAULT_MIN_TOKEN_LEN) -> list[str]:
     input gives an empty list. NFC composes a letter with its combining
     accent, so decomposed (NFD) text gives the same tokens as composed."""
     out: list[str] = []
-    for run in _RUN.findall(unicodedata.normalize("NFC", text).lower()):
+    for run in _RUN.findall(_normalize(text)):
         if run.isalpha():  # the common case: the run is already all letters
             if len(run) >= min_len:
                 out.append(run)
@@ -123,12 +127,13 @@ def tokenize_documents(
 
 
 def load_stoplist(path: str | Path) -> frozenset[str]:
-    """Read a stoplist file: UTF-8, one term per line, ``#`` comments."""
+    """Read a stoplist file: UTF-8, one term per line, ``#`` comments. Each
+    term is normalized like a token, so an NFD entry stops the NFC token."""
     terms: set[str] = set()
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         term = line.strip()
         if term and not term.startswith("#"):
-            terms.add(term.lower())
+            terms.add(_normalize(term))
     return frozenset(terms)
 
 
@@ -362,22 +367,9 @@ class WeightScheme(str, Enum):
     ENTROPY = "entropy"
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedMatrix:
-    """Real-valued reweighting of a DocTermMatrix (same shape and labels)."""
-
-    rows: tuple[str, ...]
-    vocabulary: Vocabulary
-    values: sparse.csr_matrix
-    scheme: WeightScheme
-
-    @property
-    def terms(self) -> tuple[str, ...]:
-        return self.vocabulary.terms
-
-
-def weight_matrix(dtm: DocTermMatrix, scheme: WeightScheme) -> WeightedMatrix:
-    """Apply a weighting scheme to the counts.
+def weight_matrix(dtm: DocTermMatrix, scheme: WeightScheme) -> sparse.csr_matrix:
+    """Apply a weighting scheme to the counts: a real-valued matrix with the
+    DTM's shape, its rows (``dtm.rows``) and its columns (``dtm.terms``).
 
     relative-frequency : f_ij / f_i. (each row sums to 1)
     tf-idf             : (f_ij / f_i.) * ln(N / df_j)
@@ -385,7 +377,8 @@ def weight_matrix(dtm: DocTermMatrix, scheme: WeightScheme) -> WeightedMatrix:
                          with p_ij = f_ij / f_.j and 0 ln 0 = 0
 
     The sparsity pattern is preserved or shrunk (weights may reach zero,
-    e.g. a term present in every document under tf-idf), never grown. A
+    e.g. a term present in every document under tf-idf, and a zero weight
+    is not stored), never grown. A
     term with the same count in all N documents has entropy exactly ln N,
     so its entropy factor is set to exactly 0 rather than left to rounding.
     """
@@ -416,7 +409,7 @@ def weight_matrix(dtm: DocTermMatrix, scheme: WeightScheme) -> WeightedMatrix:
 
     values = sparse.csr_matrix((vals, (ri, cj)), shape=dtm.counts.shape)
     values.eliminate_zeros()
-    return WeightedMatrix(dtm.rows, dtm.vocabulary, values, scheme)
+    return values
 
 
 # ---------------------------------------------------------------------------

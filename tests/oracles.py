@@ -23,10 +23,14 @@ SV_EPS = 1e-12
 def ca_eigen_oracle(matrix, col_labels: Sequence[str]) -> dict:
     """Correspondence analysis via eigendecomposition of S^T S.
 
-    Applies the same dimension-keep rule (singular value > 1e-12) and the
-    same sign canon (per dimension, the largest-magnitude column standard
-    coordinate is positive; float ties broken by smallest label) as the
-    library, so results are directly comparable.
+    Keeps a dimension whose singular value exceeds ``SV_EPS`` (1e-12), its
+    own rule: the library keeps an eigenvalue above max(rows, cols) times
+    the float64 machine epsilon instead. ``random_contingency`` rejects any
+    table whose smallest kept value is below 1e-7, so on the tables the
+    tests draw both rules keep the same dimensions. Applies the same sign
+    canon as the library (per dimension, the largest-magnitude column
+    standard coordinate is positive; float ties broken by smallest label),
+    so results are directly comparable.
     """
     m = np.asarray(matrix, dtype=np.float64)
     n = m.sum()

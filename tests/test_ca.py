@@ -357,7 +357,7 @@ def _tiny_corpus_and_dtm():
 
 def test_aggregate_year_profiles_sums_counts_by_year():
     corpus, dtm = _tiny_corpus_and_dtm()
-    profiles = aggregate_year_profiles(dtm, corpus)
+    profiles = aggregate_year_profiles(CaInput.from_counts(dtm), corpus)
     assert [year for year, _ in profiles] == [2019, 2020]
     by_year = dict(profiles)
     j_aa, j_bb = dtm.vocabulary.index["aa"], dtm.vocabulary.index["bb"]
@@ -369,7 +369,7 @@ def test_aggregate_year_profiles_requires_known_documents():
     corpus, dtm = _tiny_corpus_and_dtm()
     orphan = Corpus(corpus.documents[:2], FilterReport(2, 0, 0, 2))
     with pytest.raises(DataError, match="d2"):
-        aggregate_year_profiles(dtm, orphan)
+        aggregate_year_profiles(CaInput.from_counts(dtm), orphan)
 
 
 def test_aggregate_year_profiles_omits_zero_years_with_warning(caplog):
@@ -381,7 +381,7 @@ def test_aggregate_year_profiles_omits_zero_years_with_warning(caplog):
         (["d0", "d0", "d1"], ["aa", "bb", "aa"], [2, 1, 1]),
     )
     with caplog.at_level(logging.WARNING):
-        profiles = aggregate_year_profiles(zero_row, corpus)
+        profiles = aggregate_year_profiles(CaInput.from_counts(zero_row), corpus)
     assert [year for year, _ in profiles] == [2019]
     assert any("2020" in rec.message for rec in caplog.records)
 

@@ -6,10 +6,18 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lexevo import artifacts, pipeline, stats, textpipe
-from lexevo.ca import CaInput, compute_ca, write_coordinates_tsv, write_model_json
+from lexevo.ca import (
+    CaInput,
+    compute_ca,
+    read_model_artifacts,
+    read_year_coords_tsv,
+    write_coordinates_tsv,
+    write_model_json,
+)
 from lexevo.cli import main
 from lexevo.pipeline import ARTIFACTS
 from lexevo.stopwords import ENGLISH_STOPWORDS
@@ -63,13 +71,38 @@ def test_weighted_ca_input_is_the_ca_of_the_weighted_dtm(
         assert main([stage, "--config", str(staged_config)]) == 0
     assert _artifact_bytes(full) == _artifact_bytes(staged)
 
-    model = compute_ca(CaInput.from_weighted(weight_matrix(mini_dtm, weighting)))
+    model = compute_ca(
+        CaInput(weight_matrix(mini_dtm, weighting), mini_dtm.rows, mini_dtm.terms)
+    )
     expected = tmp_path / "expected"
     expected.mkdir()
     write_coordinates_tsv(model, expected / "ca_coords.tsv")
     write_model_json(model, expected / "ca_model.json")
     for name in ("ca_coords.tsv", "ca_model.json"):
         assert (full / name).read_bytes() == (expected / name).read_bytes()
+
+
+@pytest.mark.parametrize("weighting", [None, "relative-frequency", "tf-idf", "entropy"])
+def test_year_points_are_the_centroids_of_their_documents(
+    tmp_path, write_mini_config, mini_corpus, weighting
+):
+    # A year's profile sums the rows CA is fitted on, so its supplementary
+    # point is the mass-weighted centroid of that year's row points.
+    extra = {"ca_input": "weighted", "weighting": weighting} if weighting else {}
+    out = tmp_path / "out"
+    config = str(write_mini_config(out, **extra))
+    assert main(["ingest", "--config", config]) == 0
+    assert main(["ca", "--config", config]) == 0
+    model = read_model_artifacts(out / "ca_coords.tsv", out / "ca_model.json")
+    years = {doc.id: doc.year for doc in mini_corpus.documents}
+    row_years = np.array([years[label] for label in model.row_labels])
+    projections = read_year_coords_tsv(out / "year_coords.tsv", model.dims)
+    assert [int(p.label) for p in projections] == sorted(set(row_years))
+    for p in projections:
+        members = row_years == int(p.label)
+        mass = model.row_masses[members]
+        centroid = mass @ model.row_coords_principal[members] / mass.sum()
+        np.testing.assert_allclose(p.coords, centroid, rtol=0, atol=1e-12)
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path, write_mini_config):

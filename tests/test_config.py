@@ -137,6 +137,16 @@ def test_out_of_range_values_are_config_errors(line):
         parse_config_text(MINIMAL + line + "\n")
 
 
+def test_one_ca_dimension_is_a_config_error_not_a_failed_map(tmp_path):
+    # The CA map plots dimensions 1 and 2; a run with ca_dims = 1 used to
+    # fail in its last stage, after every other artifact was written.
+    (tmp_path / "corpus.csv").write_text("", encoding="utf-8")
+    conf = tmp_path / "run.conf"
+    conf.write_text("input = corpus.csv\nca_dims = 1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="ca_dims must be >= 2, got 1"):
+        load_config(conf)
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

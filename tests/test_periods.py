@@ -15,6 +15,7 @@ from lexevo.errors import (
 from lexevo.periods import (
     DEFAULT_PERIOD_SPEC,
     Period,
+    PeriodReport,
     PeriodSpec,
     assign_periods,
     characteristic_terms,
@@ -281,3 +282,16 @@ def test_periods_markdown_contains_sections(tmp_path):
     assert "## Early (2009-2015)" in text
     assert "## Late (2016-2022)" in text
     assert "| old |" in text
+
+
+def test_periods_markdown_keeps_pipes_and_line_breaks_inside_cells(tmp_path):
+    report = PeriodReport(
+        name="Early", first_year=2009, last_year=2015, doc_count=1, share_of_corpus=1.0,
+        characteristic_terms=(("a|b", 1.5),),
+        pioneer_docs=(("A | B: a study\nof pipes\r\nand breaks", 2012, 5),),
+    )
+    path = tmp_path / "periods.md"
+    write_periods_markdown([report], 1, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert "| a\\|b | 1.500 |" in lines
+    assert "| A \\| B: a study of pipes  and breaks | 2012 | 5 |" in lines

@@ -127,6 +127,17 @@ def test_load_stoplist_skips_comments_and_lowercases(tmp_path):
     assert load_stoplist(path) == frozenset({"the", "of", "and"})
 
 
+def test_stoplist_entries_are_normalized_like_tokens(tmp_path):
+    # A decomposed (NFD) entry must stop the composed token that tokenize
+    # makes of the same word, whichever form either side was written in.
+    path = tmp_path / "stop.txt"
+    entries = [unicodedata.normalize("NFD", "Naïve"), unicodedata.normalize("NFC", "CAFÉ")]
+    path.write_text("\n".join(entries) + "\n", encoding="utf-8")
+    stoplist = load_stoplist(path)
+    text = unicodedata.normalize("NFD", "naïve café")
+    assert [token in stoplist for token in tokenize(text)] == [True, True]
+
+
 def test_auto_stop_terms_threshold():
     counts = _counts(
         ["data", "care"], ["data", "mining"], ["data"], ["care"],
@@ -334,13 +345,13 @@ def small_dtm():
 
 def test_relative_frequency_rows_sum_to_one(small_dtm):
     wm = weight_matrix(small_dtm, WeightScheme.RELATIVE_FREQUENCY)
-    sums = np.asarray(wm.values.sum(axis=1)).ravel()
+    sums = np.asarray(wm.sum(axis=1)).ravel()
     assert np.allclose(sums, 1.0, atol=1e-12)
 
 
 def test_relative_frequency_hand_computed(small_dtm):
     wm = weight_matrix(small_dtm, WeightScheme.RELATIVE_FREQUENCY)
-    dense = wm.values.toarray()
+    dense = wm.toarray()
     j = small_dtm.vocabulary.index["aa"]
     assert dense[0, j] == pytest.approx(2 / 3)
     assert dense[1, j] == pytest.approx(1 / 2)
@@ -348,7 +359,7 @@ def test_relative_frequency_hand_computed(small_dtm):
 
 def test_tf_idf_hand_computed(small_dtm):
     wm = weight_matrix(small_dtm, WeightScheme.TF_IDF)
-    dense = wm.values.toarray()
+    dense = wm.toarray()
     vocab = small_dtm.vocabulary.index
     # "cc" appears in 2 of 3 documents -> idf = ln(3/2)
     assert dense[1, vocab["cc"]] == pytest.approx((1 / 2) * math.log(3 / 2))
@@ -369,7 +380,7 @@ def test_entropy_hand_computed():
     # Column "kk" is concentrated in one doc -> factor 1 -> weight ln(1+f).
     dtm = _dtm(["uu", "kk", "kk"], ["uu"])
     wm = weight_matrix(dtm, WeightScheme.ENTROPY)
-    dense = wm.values.toarray()
+    dense = wm.toarray()
     vocab = dtm.vocabulary.index
     assert dense[:, vocab["uu"]].sum() == pytest.approx(0.0)
     assert dense[0, vocab["kk"]] == pytest.approx(math.log(3))
@@ -382,7 +393,7 @@ def test_entropy_gives_an_evenly_spread_term_exactly_zero_weight(n, count):
     # them but twice in the first, and "kk" is only in the first.
     first = ["even"] * count + ["uneven", "uneven", "kk"]
     dtm = _dtm(first, *(["even"] * count + ["uneven"] for _ in range(n - 1)))
-    values = weight_matrix(dtm, WeightScheme.ENTROPY).values
+    values = weight_matrix(dtm, WeightScheme.ENTROPY)
     index = dtm.vocabulary.index
     assert values[:, index["even"]].sum() == 0.0
     assert values[:, index["uneven"]].nnz == n
@@ -391,20 +402,20 @@ def test_entropy_gives_an_evenly_spread_term_exactly_zero_weight(n, count):
 
 def test_entropy_factor_never_negative(small_dtm):
     wm = weight_matrix(small_dtm, WeightScheme.ENTROPY)
-    assert (wm.values.toarray() >= 0).all()
+    assert (wm.toarray() >= 0).all()
 
 
 @pytest.mark.parametrize("scheme", list(WeightScheme))
 def test_weighting_never_grows_sparsity(small_dtm, scheme):
     wm = weight_matrix(small_dtm, scheme)
     count_nnz = set(zip(*small_dtm.counts.nonzero()))
-    weight_nnz = set(zip(*wm.values.nonzero()))
+    weight_nnz = set(zip(*wm.nonzero()))
     assert weight_nnz <= count_nnz
 
 
 def test_weight_matrix_accepts_scheme_strings(small_dtm):
     wm = weight_matrix(small_dtm, "tf-idf")
-    assert wm.scheme is WeightScheme.TF_IDF
+    assert (wm != weight_matrix(small_dtm, WeightScheme.TF_IDF)).nnz == 0
 
 
 # --- TSV round-trips ---------------------------------------------------------
@@ -433,11 +444,11 @@ def test_counts_tsv_round_trip(small_dtm, tmp_path):
 def test_weights_tsv_preserves_exact_floats(small_dtm, tmp_path):
     wm = weight_matrix(small_dtm, WeightScheme.TF_IDF)
     path = tmp_path / "weighted.tsv"
-    write_counts_tsv(wm.rows, wm.terms, wm.values, path, value_name="weight")
+    write_counts_tsv(small_dtm.rows, small_dtm.terms, wm, path, value_name="weight")
     _, triplets = read_counts_tsv(path, value_name="weight")
-    dense = wm.values.toarray()
-    index = wm.vocabulary.index
-    row_index = {r: i for i, r in enumerate(wm.rows)}
+    dense = wm.toarray()
+    index = small_dtm.vocabulary.index
+    row_index = {r: i for i, r in enumerate(small_dtm.rows)}
     for doc_id, term, value in zip(*triplets):
         # repr() round-trips doubles exactly
         assert value == dense[row_index[doc_id], index[term]]

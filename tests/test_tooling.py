@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import lexevo
+from lexevo import pipeline
+from lexevo.config import RunConfig, to_config_text
 
 ROOT = Path(__file__).parent.parent
 MINI_CSV = Path(lexevo.__file__).parent / "data" / "mini_corpus.csv"
@@ -40,6 +42,27 @@ def test_readme_library_example_runs_on_the_bundled_corpus(capsys):
     exec(code.replace('"export.csv"', repr(str(MINI_CSV))), {})
     assert capsys.readouterr().out.strip()
 
+
+def _readme_table_names(heading: str) -> list[str]:
+    """The backquoted names in the first cell of each row of the first
+    table under ``heading``, in order."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index(heading) :]
+    table = re.search(r"^\|.*?(?=\n\n)", section, re.S | re.M).group(0)
+    rows = table.splitlines()[2:]  # skip the header and its rule
+    return [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+
+
+def test_readme_artifact_table_names_every_artifact():
+    names = _readme_table_names("## Artifacts")
+    expected = [name for names in pipeline.ARTIFACTS.values() for name in names]
+    assert sorted(names) == sorted(expected)
+
+
+def test_readme_config_table_lists_the_echoed_keys_in_order():
+    echo = to_config_text(RunConfig(input=Path("corpus.csv")))
+    keys = [line.split(" = ", 1)[0] for line in echo.splitlines()]
+    assert _readme_table_names("## Config file") == keys
 
 
 def test_the_command_line_does_not_import_scipy_linalg():
