@@ -69,17 +69,22 @@ __all__ = [
 DEFAULT_MIN_TOKEN_LEN = 2
 DEFAULT_MIN_TERM_FREQUENCY = 5
 
-# Candidate runs: word characters minus digits and underscore. This is
-# almost "runs of Unicode letters", except that a few numeric-letter code
-# points (superscripts, Roman numerals — categories Nl/No) slip through;
-# those are split out in a second pass so only true letters remain.
-_RUN = re.compile(r"[^\W\d_]+", re.UNICODE)
+# Candidate runs: every code point except digits, the underscore and the
+# non-alphanumeric code points below U+0300, where the combining marks
+# begin. Python's ``re`` has no class for the marks (category M), so the
+# runs are a superset of tokens: a run that is not all letters (it holds a
+# mark, punctuation above U+0300, or a numeric letter of category Nl/No
+# such as a superscript) is split exactly by ``_letter_fragments``.
+_LOW_SEPARATORS = "".join(ch for ch in map(chr, range(0x300)) if not ch.isalnum())
+_RUN = re.compile(f"[^{re.escape(_LOW_SEPARATORS)}\\d_]+")
 
 
-def _alpha_fragments(run: str) -> Iterator[str]:
+def _letter_fragments(run: str) -> Iterator[str]:
+    """Maximal stretches of a letter followed by letters and combining
+    marks; a mark with no letter before it separates, like punctuation."""
     current: list[str] = []
     for ch in run:
-        if ch.isalpha():
+        if ch.isalpha() or (current and unicodedata.category(ch)[0] == "M"):
             current.append(ch)
         elif current:
             yield "".join(current)
@@ -102,17 +107,21 @@ class TokenStream:
 
 
 def tokenize(text: str, min_len: int = DEFAULT_MIN_TOKEN_LEN) -> list[str]:
-    """Normalize to NFC, lowercase, split on anything that is not a Unicode
-    letter, drop fragments shorter than ``min_len``. Order preserved; empty
-    input gives an empty list. NFC composes a letter with its combining
-    accent, so decomposed (NFD) text gives the same tokens as composed."""
+    """Normalize to NFC, then ``str.lower()``; split on anything that is
+    neither a Unicode letter nor a combining mark (category M) following
+    one, and drop tokens shorter than ``min_len`` code points. Order
+    preserved; empty input gives an empty list. NFC composes a letter with
+    its combining accent, so decomposed (NFD) text gives the same tokens as
+    composed; a mark that has no composed form stays attached to its
+    letter, such as the dot above that ``lower()`` leaves on ``"İ"``
+    (``"İstanbul"`` gives ``["i\\u0307stanbul"]``)."""
     out: list[str] = []
     for run in _RUN.findall(_normalize(text)):
         if run.isalpha():  # the common case: the run is already all letters
             if len(run) >= min_len:
                 out.append(run)
         else:
-            out.extend(f for f in _alpha_fragments(run) if len(f) >= min_len)
+            out.extend(f for f in _letter_fragments(run) if len(f) >= min_len)
     return out
 
 

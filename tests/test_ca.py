@@ -174,13 +174,22 @@ def test_retained_dimensions_capped_by_request():
     assert _model(dims=1).singular_values.size == 3
 
 
-def test_independent_table_has_no_retained_dimensions():
-    # outer product -> chi-square exactly 0 -> every dimension trivial
+def _refuse(*args, **kwargs):
+    raise AssertionError("called a routine the fit must not call")
+
+
+def test_independent_table_has_no_retained_dimensions(monkeypatch):
+    import scipy.sparse.linalg
+
+    # outer product -> chi-square exactly 0 -> every dimension trivial, so
+    # there is no eigenvector to ask ARPACK for
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _refuse)
     table = np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
     model = compute_ca(CaInput(table, ("a", "b", "c"), ("x", "y", "z")), dims=2)
     assert model.dims == 0
     assert model.inertia_total == 0.0
     assert model.singular_values.size == 0
+    assert model.row_coords_principal.shape == model.col_coords_principal.shape == (3, 0)
 
 
 
@@ -233,6 +242,97 @@ def test_proportional_rows_drop_a_dimension_in_either_orientation():
         model = compute_ca(_labeled(matrix), dims=3)
         assert model.singular_values.size == 2
         assert model.dims == 2
+
+
+# --- the truncated eigenvector step -----------------------------------------
+
+
+def _occupied_table(rng, n_rows, n_cols, extra):
+    """A sparse random count table in which every row and column is used."""
+    rows = np.concatenate([np.arange(n_rows), rng.integers(0, n_rows, extra + n_cols)])
+    cols = np.concatenate([rng.integers(0, n_cols, n_rows + extra), np.arange(n_cols)])
+    return sparse.csr_matrix(
+        (rng.integers(1, 5, rows.size).astype(np.float64), (rows, cols)),
+        shape=(n_rows, n_cols),
+    )
+
+
+def test_fit_computes_no_full_eigenvector_matrix(monkeypatch):
+    table = _occupied_table(np.random.default_rng(3), 300, 400, 6_000)
+    oracle = oracles.ca_eigen_oracle(table.toarray(), tuple(f"c{j}" for j in range(400)))
+    monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    monkeypatch.setattr(np.linalg, "svd", _refuse)
+    model = compute_ca(_labeled(table), dims=2)
+    # The oracle squares S, so its rounding noise passes its own 1e-12 rule
+    # as spurious values after the 299 real ones.
+    assert model.singular_values.size == 299
+    assert np.allclose(model.singular_values, oracle["singular_values"][:299], atol=1e-9)
+    assert np.allclose(model.row_coords_principal, oracle["row_principal"][:, :2], atol=1e-9)
+    assert np.allclose(model.col_coords_principal, oracle["col_principal"][:, :2], atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.array([[3, 1], [1, 2]]),
+        np.array([[3, 1, 0], [1, 2, 2], [0, 1, 4]]),
+        np.array([[3, 1, 0, 2, 1], [1, 2, 2, 0, 1], [0, 1, 4, 1, 3]]),
+        np.array([[3, 1, 0, 2, 1], [1, 2, 2, 0, 1], [0, 1, 4, 1, 3]]).T,
+    ],
+    ids=["2x2", "3x3", "3x5", "5x3"],
+)
+def test_every_dimension_of_a_small_table(table):
+    # dims = min(rows, cols) - 1 asks ARPACK for all but one eigenvector of
+    # the Gram matrix, its largest admissible request.
+    table = table.astype(np.float64)
+    dims = min(table.shape) - 1
+    model = compute_ca(_labeled(table), dims=dims)
+    oracle = oracles.ca_eigen_oracle(table, tuple(f"c{j}" for j in range(table.shape[1])))
+    assert model.dims == model.singular_values.size == dims
+    assert np.allclose(model.singular_values, oracle["singular_values"][:dims], atol=1e-9)
+    assert np.allclose(model.row_coords_principal, oracle["row_principal"][:, :dims], atol=1e-9)
+    assert np.allclose(model.col_coords_principal, oracle["col_principal"][:, :dims], atol=1e-9)
+
+
+def test_tied_leading_spectrum_gives_identical_coordinates(tmp_path):
+    # 5 I + 1 has equal masses and a threefold leading eigenvalue: any two
+    # orthonormal vectors of that eigenspace solve the fit, so only a fixed
+    # start vector and a fixed restart generator make two fits agree.
+    table = 5.0 * np.eye(4) + 1.0
+    paths = [tmp_path / "first.tsv", tmp_path / "second.tsv"]
+    for path in paths:
+        model = compute_ca(_labeled(table), dims=2)
+        write_coordinates_tsv(model, path)
+    assert np.allclose(model.singular_values, model.singular_values[0], rtol=0, atol=1e-12)
+    assert model.singular_values.size == 3
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _arpack_failures():
+    """The two kinds of error ``eigsh`` raises when its iteration fails."""
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
+
+    starting_vector_is_zero = {-9: "Starting vector is zero."}  # dsaupd's info -9
+    return [ArpackNoConvergence("No convergence", np.empty(0), np.empty((4, 0))),
+            ArpackError(-9, starting_vector_is_zero)]
+
+
+@pytest.mark.parametrize("failure", _arpack_failures(), ids=["no-convergence", "error"])
+def test_arpack_failure_is_a_data_error(monkeypatch, failure):
+    import scipy.sparse.linalg
+
+    def fail(*args, **kwargs):
+        raise failure
+
+    leading = _model().singular_values[:2] ** 2
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    with pytest.raises(DataError) as error:
+        _model(dims=2)
+    message = str(error.value)
+    assert "dims = 2" in message
+    assert str(failure) in message
+    assert f"leading eigenvalues {leading[0]:.6g}, {leading[1]:.6g}" in message
+
 
 # --- validation ---------------------------------------------------------------
 

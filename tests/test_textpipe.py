@@ -79,6 +79,35 @@ def test_tokenize_ignores_the_normalization_form(text):
     assert tokenize(nfc) == tokenize(nfd)
 
 
+def test_tokenize_keeps_combining_marks_with_their_letter():
+    # lower() turns the dotted capital I into i + U+0307, which has no
+    # composed form; the mark stays in the token instead of splitting it.
+    assert tokenize("İstanbul") == ["i\u0307stanbul"]
+    assert tokenize("q\u0303uark x\u0301y") == ["q\u0303uark", "x\u0301y"]
+    assert tokenize("\u0301ab \u0301") == ["ab"]  # a mark with no letter separates
+
+
+def _scanned_tokens(text: str, min_len: int = 2) -> list[str]:
+    """Reference tokenizer, one code point at a time: a letter starts or
+    extends a token, a combining mark extends one, anything else ends it."""
+    tokens, current = [], ""
+    for ch in unicodedata.normalize("NFC", text).lower():
+        if ch.isalpha() or (current and unicodedata.category(ch).startswith("M")):
+            current += ch
+        else:
+            tokens.append(current)
+            current = ""
+    tokens.append(current)
+    return [token for token in tokens if len(token) >= min_len]
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from("İaé\u0301\u0307\u00b2\u2160_1 -\u2014"),
+                                  st.characters()),
+               max_size=80))
+def test_tokenize_matches_a_code_point_scan(text):
+    assert tokenize(text) == _scanned_tokens(text)
+
+
 def test_tokenize_min_length():
     assert tokenize("a of the be longer", min_len=3) == ["the", "longer"]
     assert tokenize("a b c", min_len=1) == ["a", "b", "c"]
@@ -100,7 +129,8 @@ def test_tokens_are_normalized(text):
     for token in tokenize(text):
         assert token == token.lower()
         assert len(token) >= 2
-        assert all(c.isalpha() for c in token)
+        assert token[0].isalpha()
+        assert all(c.isalpha() or unicodedata.category(c).startswith("M") for c in token)
 
 
 # --- stopwords --------------------------------------------------------------
