@@ -19,11 +19,12 @@ the same with the sides swapped for the columns) is a dense min(rows, cols)
 square matrix. Its eigenvalues are the squared singular values, all of them
 reported: ``numpy.linalg.eigvalsh`` computes every value and no vector. Its
 eigenvectors are that side's singular vectors; only the ``dims`` leading
-ones are computed, by ARPACK's Lanczos iteration (``scipy.sparse.linalg.eigsh``;
-Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998). The other
-side's follow from the transition formula S^T w / sigma for the retained
-dimensions only (Greenacre, *Correspondence Analysis in Practice*, 3rd ed.,
-2017).
+ones are computed, by LAPACK's subset driver (``scipy.linalg.eigh`` with
+``subset_by_index``), which returns them exactly as a full decomposition
+would, repeated eigenvalues included, without forming the other vectors.
+The other side's follow from the transition formula S^T w / sigma for the
+retained dimensions only (Greenacre, *Correspondence Analysis in
+Practice*, 3rd ed., 2017).
 
 Zero rule: an eigenvalue at or below max(rows, cols) times the float64
 machine epsilon is zero, and its dimension is dropped. The Gram matrix has
@@ -34,14 +35,9 @@ n * eps * lambda_1, and lambda_1 <= 1 in correspondence analysis.
 Supplementary profiles (here: yearly term profiles) are projected through
 the row transition formula and never influence the axes.
 
-Determinism: the Lanczos iteration starts from a fixed pseudo-random vector
-(seed 0), and any restart ARPACK asks for draws from a generator with the
-same fixed seed, so the vectors it returns depend on the input alone; a
-tied leading eigenvalue therefore gives the same basis of its eigenspace on
-every run. The start vector is not the uniform vector: when that side's
-masses are all equal (every row sums to 1 under relative-frequency
-weighting) the uniform vector is the trivial eigenvector, orthogonal to
-every wanted one. The SVD sign ambiguity is fixed per dimension by
+Determinism: both eigen routines are direct LAPACK methods with no random
+start, so the same input gives the same vectors, a basis of a tied
+eigenspace included. The SVD sign ambiguity is fixed per dimension by
 requiring the column standard coordinate of largest absolute value to be
 positive (ties broken by the lexicographically first column label),
 recorded as sign convention ``colmax-positive-v1``. Two runs on the same
@@ -178,28 +174,17 @@ def _canonicalize_signs(
             col_std[:, k] *= -1.0
 
 
-def _leading_eigenvectors(
-    gram: np.ndarray, k: int, dims: int, eigvals: np.ndarray
-) -> np.ndarray:
+def _leading_eigenvectors(gram: np.ndarray, k: int) -> np.ndarray:
     """The ``k`` leading eigenvectors of the symmetric ``gram``, as columns in
-    descending eigenvalue order; ``eigvals`` (descending) names the leading
-    values in the error raised when ARPACK fails."""
+    descending eigenvalue order."""
     n = gram.shape[0]
     if k == 0:
         return np.zeros((n, 0))
-    # Imported here: scipy.sparse.linalg imports scipy.linalg, which would
-    # add to the start-up of every subcommand.
-    from scipy.sparse.linalg import ArpackError, eigsh
+    # Imported here: importing scipy.linalg would add to the start-up of
+    # every subcommand.
+    from scipy.linalg import eigh
 
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-    try:
-        _, w = eigsh(gram, k=k, which="LA", v0=v0, tol=0, rng=0)
-    except ArpackError as exc:  # ArpackNoConvergence included
-        leading = ", ".join(f"{v:.6g}" for v in eigvals[:k])
-        raise DataError(
-            f"CA found no {k} leading eigenvectors for dims = {dims} "
-            f"(leading eigenvalues {leading}): {exc}"
-        ) from exc
+    _, w = eigh(gram, subset_by_index=(n - k, n - 1))
     return np.ascontiguousarray(w[:, ::-1])
 
 
@@ -210,10 +195,9 @@ def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
     singular value at or below ``max(rows, cols)`` machine epsilons is zero
     (the module's zero rule) and its dimension is dropped, so the retained
     count can be smaller than requested (zero for an independent table).
-    The only dense arrays are the min(rows, cols) square Gram matrix, its
-    eigenvalues, and arrays of one side's length times ``dims``. A Lanczos
-    iteration that fails is a :class:`DataError` naming ``dims`` and the
-    leading eigenvalues.
+    The only dense arrays are the min(rows, cols) square Gram matrix (and
+    one working copy of it inside each LAPACK call), its eigenvalues, and
+    arrays of one side's length times ``dims``.
     """
     inp.validate()
     n_rows, n_cols = inp.matrix.shape
@@ -239,7 +223,7 @@ def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
     eigvals = np.linalg.eigvalsh(gram)[::-1]
     sv = np.sqrt(eigvals[eigvals > max(n_rows, n_cols) * np.finfo(np.float64).eps])
     k = min(dims, sv.size)
-    w = _leading_eigenvectors(gram, k, dims, eigvals)
+    w = _leading_eigenvectors(gram, k)
     del gram
 
     # Transition formula, for the retained dimensions only: the other side's

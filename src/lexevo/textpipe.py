@@ -70,13 +70,20 @@ DEFAULT_MIN_TOKEN_LEN = 2
 DEFAULT_MIN_TERM_FREQUENCY = 5
 
 # Candidate runs: every code point except digits, the underscore and the
-# non-alphanumeric code points below U+0300, where the combining marks
-# begin. Python's ``re`` has no class for the marks (category M), so the
-# runs are a superset of tokens: a run that is not all letters (it holds a
-# mark, punctuation above U+0300, or a numeric letter of category Nl/No
-# such as a superscript) is split exactly by ``_letter_fragments``.
-_LOW_SEPARATORS = "".join(ch for ch in map(chr, range(0x300)) if not ch.isalnum())
-_RUN = re.compile(f"[^{re.escape(_LOW_SEPARATORS)}\\d_]+")
+# separators (code points that are neither alphanumeric nor combining
+# marks) of three blocks: Latin below U+0300, where the marks begin,
+# General Punctuation (dashes, curly quotes, thin spaces) and CJK Symbols
+# and Punctuation (the ideographic space). Python's ``re`` has no class for
+# the marks (category M), so the runs are a superset of tokens: a run that
+# is not all letters (it holds a mark, another separator, or a numeric
+# letter of category Nl/No such as a superscript) is split exactly by
+# ``_letter_fragments``.
+_SEPARATORS = "".join(
+    ch
+    for ch in map(chr, (*range(0x300), *range(0x2000, 0x2070), *range(0x3000, 0x3040)))
+    if not ch.isalnum() and unicodedata.category(ch)[0] != "M"
+)
+_RUN = re.compile(f"[^{re.escape(_SEPARATORS)}\\d_]+")
 
 
 def _letter_fragments(run: str) -> Iterator[str]:

@@ -179,11 +179,11 @@ def _refuse(*args, **kwargs):
 
 
 def test_independent_table_has_no_retained_dimensions(monkeypatch):
-    import scipy.sparse.linalg
+    import scipy.linalg
 
     # outer product -> chi-square exactly 0 -> every dimension trivial, so
-    # there is no eigenvector to ask ARPACK for
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _refuse)
+    # there is no eigenvector to ask LAPACK for
+    monkeypatch.setattr(scipy.linalg, "eigh", _refuse)
     table = np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
     model = compute_ca(CaInput(table, ("a", "b", "c"), ("x", "y", "z")), dims=2)
     assert model.dims == 0
@@ -258,11 +258,22 @@ def _occupied_table(rng, n_rows, n_cols, extra):
 
 
 def test_fit_computes_no_full_eigenvector_matrix(monkeypatch):
+    import scipy.linalg
+
     table = _occupied_table(np.random.default_rng(3), 300, 400, 6_000)
     oracle = oracles.ca_eigen_oracle(table.toarray(), tuple(f"c{j}" for j in range(400)))
+    subsets = []
+    full_eigh = scipy.linalg.eigh
+
+    def leading_only(a, **kwargs):
+        subsets.append(kwargs.get("subset_by_index"))
+        return full_eigh(a, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", _refuse)
     monkeypatch.setattr(np.linalg, "svd", _refuse)
+    monkeypatch.setattr(scipy.linalg, "eigh", leading_only)
     model = compute_ca(_labeled(table), dims=2)
+    assert subsets == [(298, 299)]  # the 300-row Gram matrix's two leading vectors
     # The oracle squares S, so its rounding noise passes its own 1e-12 rule
     # as spurious values after the 299 real ones.
     assert model.singular_values.size == 299
@@ -282,8 +293,8 @@ def test_fit_computes_no_full_eigenvector_matrix(monkeypatch):
     ids=["2x2", "3x3", "3x5", "5x3"],
 )
 def test_every_dimension_of_a_small_table(table):
-    # dims = min(rows, cols) - 1 asks ARPACK for all but one eigenvector of
-    # the Gram matrix, its largest admissible request.
+    # dims = min(rows, cols) - 1 asks for all but one eigenvector of the
+    # Gram matrix, the largest admissible request.
     table = table.astype(np.float64)
     dims = min(table.shape) - 1
     model = compute_ca(_labeled(table), dims=dims)
@@ -296,8 +307,8 @@ def test_every_dimension_of_a_small_table(table):
 
 def test_tied_leading_spectrum_gives_identical_coordinates(tmp_path):
     # 5 I + 1 has equal masses and a threefold leading eigenvalue: any two
-    # orthonormal vectors of that eigenspace solve the fit, so only a fixed
-    # start vector and a fixed restart generator make two fits agree.
+    # orthonormal vectors of that eigenspace solve the fit, so two fits
+    # agree only if the eigen routine picks its basis deterministically.
     table = 5.0 * np.eye(4) + 1.0
     paths = [tmp_path / "first.tsv", tmp_path / "second.tsv"]
     for path in paths:
@@ -308,30 +319,26 @@ def test_tied_leading_spectrum_gives_identical_coordinates(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def _arpack_failures():
-    """The two kinds of error ``eigsh`` raises when its iteration fails."""
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
-
-    starting_vector_is_zero = {-9: "Starting vector is zero."}  # dsaupd's info -9
-    return [ArpackNoConvergence("No convergence", np.empty(0), np.empty((4, 0))),
-            ArpackError(-9, starting_vector_is_zero)]
-
-
-@pytest.mark.parametrize("failure", _arpack_failures(), ids=["no-convergence", "error"])
-def test_arpack_failure_is_a_data_error(monkeypatch, failure):
-    import scipy.sparse.linalg
-
-    def fail(*args, **kwargs):
-        raise failure
-
-    leading = _model().singular_values[:2] ** 2
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-    with pytest.raises(DataError) as error:
-        _model(dims=2)
-    message = str(error.value)
-    assert "dims = 2" in message
-    assert str(failure) in message
-    assert f"leading eigenvalues {leading[0]:.6g}, {leading[1]:.6g}" in message
+def test_repeated_eigenvalues_match_the_oracle_geometry():
+    # Three identical blocks on the diagonal: the eigenvalue 1 (the blocks
+    # are perfectly associated) appears twice and every eigenvalue of one
+    # block three times, on a 30-row Gram side. Five dimensions take both
+    # eigenspaces whole. Any orthonormal basis of a repeated eigenspace
+    # solves the fit, so the fit is compared with the oracle through F F^T
+    # and G G^T, which a rotation inside a whole eigenspace leaves unchanged.
+    block = np.random.default_rng(5).integers(1, 9, (10, 12)).astype(np.float64)
+    table = np.kron(np.eye(3), block)
+    model = compute_ca(_labeled(table), dims=5)
+    oracle = oracles.ca_eigen_oracle(table, tuple(f"c{j}" for j in range(36)))
+    sv = oracle["singular_values"]
+    assert np.allclose(sv[:2], 1.0) and sv[1] - sv[2] > 1e-3 and sv[4] - sv[5] > 1e-3
+    assert model.singular_values.size == 2 + 3 * 9
+    assert np.allclose(model.singular_values, sv[:29], atol=1e-9)
+    for ours, theirs in [
+        (model.row_coords_principal, oracle["row_principal"][:, :5]),
+        (model.col_coords_principal, oracle["col_principal"][:, :5]),
+    ]:
+        assert np.allclose(ours @ ours.T, theirs @ theirs.T, atol=1e-9)
 
 
 # --- validation ---------------------------------------------------------------

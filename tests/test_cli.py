@@ -185,22 +185,6 @@ def test_internal_error_exits_3(tmp_path, write_mini_config, monkeypatch):
     assert main(["stats", "--config", str(config)]) == 3
 
 
-def test_arpack_failure_exits_2_naming_dims(tmp_path, write_mini_config, monkeypatch, capsys):
-    import scipy.sparse.linalg
-
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("No convergence", np.empty(0), None)
-
-    config = str(write_mini_config(tmp_path / "out"))
-    assert main(["ingest", "--config", config]) == 0
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    capsys.readouterr()
-    assert main(["ca", "--config", config]) == 2
-    err = capsys.readouterr().err
-    assert "CA found no 2 leading eigenvectors for dims = 2 (leading eigenvalues " in err
-    assert "No convergence" in err
-
-
 def _cut_mid_line(path: Path) -> int:
     """Truncate a TSV artifact just before a tab past its middle; returns
     the number of the now incomplete last line."""

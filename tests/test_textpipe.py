@@ -101,9 +101,12 @@ def _scanned_tokens(text: str, min_len: int = 2) -> list[str]:
     return [token for token in tokens if len(token) >= min_len]
 
 
-@given(st.text(alphabet=st.one_of(st.sampled_from("İaé\u0301\u0307\u00b2\u2160_1 -\u2014"),
-                                  st.characters()),
-               max_size=80))
+# Letters, marks, numeric letters and separators on both sides of U+0300,
+# in General Punctuation and in CJK Symbols and Punctuation.
+_TRICKY = "İaé\u0301\u0307\u00b2\u2160_1 -\u2014\u2019\u2009\u3000\u3005\u302a"
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from(_TRICKY), st.characters()), max_size=80))
 def test_tokenize_matches_a_code_point_scan(text):
     assert tokenize(text) == _scanned_tokens(text)
 
