@@ -13,8 +13,6 @@ from .ca import (
     SupplementaryProjection,
     aggregate_year_profiles,
     compute_ca,
-    nearest_points,
-    point_distance,
     project_supplementary,
 )
 from .config import RunConfig, load_config, parse_config_text, to_config_text
@@ -146,8 +144,6 @@ __all__ = [
     "compute_ca",
     "project_supplementary",
     "aggregate_year_profiles",
-    "point_distance",
-    "nearest_points",
     # periods
     "Period",
     "PeriodSpec",

@@ -16,15 +16,18 @@ The fit never forms S or any other rows x columns array. With
 Q = D_a^{-1/2} P D_b^{-1/2} kept sparse, S = Q - sqrt(a) sqrt(b)^T, and the
 shorter side's Gram matrix (S S^T = Q Q^T - sqrt(a) sqrt(a)^T for the rows,
 the same with the sides swapped for the columns) is a dense min(rows, cols)
-square matrix. Its eigenvalues are the squared singular values, all of them
-reported: ``numpy.linalg.eigvalsh`` computes every value and no vector. Its
-eigenvectors are that side's singular vectors; only the ``dims`` leading
-ones are computed, by LAPACK's subset driver (``scipy.linalg.eigh`` with
-``subset_by_index``), which returns them exactly as a full decomposition
-would, repeated eigenvalues included, without forming the other vectors.
-The other side's follow from the transition formula S^T w / sigma for the
-retained dimensions only (Greenacre, *Correspondence Analysis in
-Practice*, 3rd ed., 2017).
+square matrix, filled a block of rows at a time from the sparse product.
+Its eigenvalues are the squared singular values, all of them reported, and
+its eigenvectors are that side's singular vectors. One Householder
+reduction (LAPACK ``dsytrd``, in place) turns it into a tridiagonal matrix
+T with the same eigenvalues. Every eigenvalue of T comes from ``dsterf``,
+as in ``numpy.linalg.eigvalsh``. Only the ``dims`` leading eigenvectors
+of T are computed, by bisection and inverse iteration (``dstebz`` and
+``dstein``, the path of LAPACK's subset driver ``dsyevr``, exact for
+repeated eigenvalues too), and carried back through the stored reflectors.
+The other side's singular vectors follow from the transition formula
+S^T w / sigma for the retained dimensions only (Greenacre,
+*Correspondence Analysis in Practice*, 3rd ed., 2017).
 
 Zero rule: an eigenvalue at or below max(rows, cols) times the float64
 machine epsilon is zero, and its dimension is dropped. The Gram matrix has
@@ -35,13 +38,15 @@ n * eps * lambda_1, and lambda_1 <= 1 in correspondence analysis.
 Supplementary profiles (here: yearly term profiles) are projected through
 the row transition formula and never influence the axes.
 
-Determinism: both eigen routines are direct LAPACK methods with no random
-start, so the same input gives the same vectors, a basis of a tied
-eigenspace included. The SVD sign ambiguity is fixed per dimension by
-requiring the column standard coordinate of largest absolute value to be
-positive (ties broken by the lexicographically first column label),
-recorded as sign convention ``colmax-positive-v1``. Two runs on the same
-input produce identical output.
+Determinism: the reduction and the tridiagonal routines are direct LAPACK
+methods with no random start (``dstein`` draws its start vectors from a
+fixed seed), so the same input gives the same vectors, a basis of a tied
+eigenspace included. Each Gram entry sums the same products in the same
+order whatever the block size. The SVD sign ambiguity is fixed per
+dimension by requiring the column standard coordinate of largest absolute
+value to be positive (ties broken by the lexicographically first column
+label), recorded as sign convention ``colmax-positive-v1``. Two runs on the
+same input produce identical output.
 """
 
 from __future__ import annotations
@@ -49,14 +54,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
 from . import artifacts
 from .corpus import Corpus
-from .errors import DataError, LabelNotFoundError, ValidationError
+from .errors import DataError, ValidationError
 from .textpipe import DocTermMatrix, group_sum
 
 __all__ = [
@@ -67,8 +72,6 @@ __all__ = [
     "compute_ca",
     "project_supplementary",
     "aggregate_year_profiles",
-    "point_distance",
-    "nearest_points",
     "write_coordinates_tsv",
     "write_model_json",
     "write_year_coords_tsv",
@@ -80,7 +83,9 @@ logger = logging.getLogger("lexevo.ca")
 
 SIGN_CONVENTION = "colmax-positive-v1"
 
-PointKind = Literal["row", "col"]
+#: Rows of the Gram matrix that :func:`compute_ca` fills from one sparse
+#: product at a time.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,14 +153,6 @@ class CaModel:
     row_coords_principal: np.ndarray
     col_coords_principal: np.ndarray
 
-    def labels(self, kind: PointKind) -> tuple[str, ...]:
-        return self.row_labels if kind == "row" else self.col_labels
-
-    def principal(self, kind: PointKind) -> np.ndarray:
-        return (
-            self.row_coords_principal if kind == "row" else self.col_coords_principal
-        )
-
 
 def _canonicalize_signs(
     u: np.ndarray, v: np.ndarray, col_std: np.ndarray, col_labels: Sequence[str]
@@ -174,18 +171,15 @@ def _canonicalize_signs(
             col_std[:, k] *= -1.0
 
 
-def _leading_eigenvectors(gram: np.ndarray, k: int) -> np.ndarray:
-    """The ``k`` leading eigenvectors of the symmetric ``gram``, as columns in
-    descending eigenvalue order."""
-    n = gram.shape[0]
-    if k == 0:
-        return np.zeros((n, 0))
-    # Imported here: importing scipy.linalg would add to the start-up of
-    # every subcommand.
-    from scipy.linalg import eigh
-
-    _, w = eigh(gram, subset_by_index=(n - k, n - 1))
-    return np.ascontiguousarray(w[:, ::-1])
+def _apply_reflectors(c: np.ndarray, tau: np.ndarray, z: np.ndarray) -> None:
+    """Overwrite ``z`` with Q z, where Q = H(0) H(1) ... H(n-2) is the
+    orthogonal factor of LAPACK ``dsytrd`` (lower storage): H(i) = I - tau[i]
+    v v^T with v = [1, c[i+2:, i]] acting on rows i+1 onwards. Destroys the
+    subdiagonal of ``c``."""
+    for i in range(len(tau) - 1, -1, -1):
+        v = c[i + 1 :, i]
+        v[0] = 1.0
+        z[i + 1 :] -= tau[i] * np.outer(v, v @ z[i + 1 :])
 
 
 def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
@@ -195,10 +189,14 @@ def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
     singular value at or below ``max(rows, cols)`` machine epsilons is zero
     (the module's zero rule) and its dimension is dropped, so the retained
     count can be smaller than requested (zero for an independent table).
-    The only dense arrays are the min(rows, cols) square Gram matrix (and
-    one working copy of it inside each LAPACK call), its eigenvalues, and
-    arrays of one side's length times ``dims``.
+    The only dense arrays are the min(rows, cols) square Gram matrix
+    (reduced in place; one block of rows at a time while it is built), its
+    eigenvalues, and arrays of one side's length times ``dims``.
     """
+    # Imported here: importing scipy.linalg would add to the start-up of
+    # every subcommand.
+    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
+
     inp.validate()
     n_rows, n_cols = inp.matrix.shape
     max_dims = min(n_rows, n_cols) - 1
@@ -218,13 +216,34 @@ def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
     # columns, the same holds for S^T with the two sides swapped.
     transposed = n_rows > n_cols
     qs, root_s, root_l = (q.T.tocsr(), root_b, root_a) if transposed else (q, root_a, root_b)
-    gram = (qs @ qs.T).toarray()
-    gram -= np.outer(root_s, root_s)
-    eigvals = np.linalg.eigvalsh(gram)[::-1]
+    # Filled a block of rows at a time, so the only other large array is one
+    # block's sparse product; the mass term is subtracted one row at a time.
+    n = qs.shape[0]
+    qs_t = qs.T.tocsr()
+    gram = np.empty((n, n))
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        (qs[start:stop] @ qs_t).toarray(out=gram[start:stop])
+        for i in range(start, stop):
+            gram[i] -= root_s[i] * root_s
+    del qs_t
+
+    # gram.T is the same symmetric matrix in Fortran order, so LAPACK reduces
+    # it to tridiagonal form in place, without a copy.
+    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+    c, d, e, tau, info = lapack.dsytrd(gram.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsytrd failed with info = {info}")
+    eigvals = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")[::-1]
     sv = np.sqrt(eigvals[eigvals > max(n_rows, n_cols) * np.finfo(np.float64).eps])
     k = min(dims, sv.size)
-    w = _leading_eigenvectors(gram, k)
-    del gram
+    if k:
+        _, w = eigh_tridiagonal(d, e, select="i", select_range=(n - k, n - 1))
+        w = np.ascontiguousarray(w[:, ::-1])
+        _apply_reflectors(c, tau, w)
+    else:
+        w = np.zeros((n, 0))
+    del gram, c
 
     # Transition formula, for the retained dimensions only: the other side's
     # singular vectors are S^T w / sigma.
@@ -318,49 +337,6 @@ def aggregate_year_profiles(
             continue
         out.append((year, profile))
     return out
-
-
-def _point_index(model: CaModel, kind: PointKind, label: str) -> int:
-    labels = model.labels(kind)
-    try:
-        return labels.index(label)
-    except ValueError:
-        raise LabelNotFoundError(f"no {kind} point labeled {label!r}") from None
-
-
-def point_distance(model: CaModel, kind: PointKind, label_a: str, label_b: str) -> float:
-    """Euclidean distance between two same-side points in principal
-    coordinates over the retained dimensions."""
-    coords = model.principal(kind)
-    ia = _point_index(model, kind, label_a)
-    ib = _point_index(model, kind, label_b)
-    return float(np.linalg.norm(coords[ia] - coords[ib]))
-
-
-def nearest_points(
-    model: CaModel,
-    kind: PointKind,
-    anchor: str | Sequence[float] | np.ndarray,
-    k: int,
-) -> list[tuple[str, float]]:
-    """The ``k`` nearest points to an anchor (a label on the same side, or
-    explicit principal coordinates), ascending by distance, ties broken
-    lexicographically. A label anchor is its own nearest point."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    coords = model.principal(kind)
-    if isinstance(anchor, str):
-        target = coords[_point_index(model, kind, anchor)]
-    else:
-        target = np.asarray(anchor, dtype=np.float64)
-        if target.shape != (model.dims,):
-            raise ValidationError(
-                f"anchor coordinates must have shape ({model.dims},), got {target.shape}"
-            )
-    labels = model.labels(kind)
-    dists = np.linalg.norm(coords - target[None, :], axis=1)
-    order = sorted(range(len(labels)), key=lambda i: (dists[i], labels[i]))
-    return [(labels[i], float(dists[i])) for i in order[:k]]
 
 
 # ---------------------------------------------------------------------------

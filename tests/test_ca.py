@@ -12,8 +12,6 @@ from lexevo.ca import (
     CaInput,
     aggregate_year_profiles,
     compute_ca,
-    nearest_points,
-    point_distance,
     project_supplementary,
     read_model_artifacts,
     read_year_coords_tsv,
@@ -22,7 +20,7 @@ from lexevo.ca import (
     write_year_coords_tsv,
 )
 from lexevo.corpus import Corpus, DocType, Document, FilterReport
-from lexevo.errors import DataError, LabelNotFoundError, ValidationError
+from lexevo.errors import DataError, ValidationError
 from lexevo.textpipe import (
     TokenStream,
     build_dtm,
@@ -183,7 +181,7 @@ def test_independent_table_has_no_retained_dimensions(monkeypatch):
 
     # outer product -> chi-square exactly 0 -> every dimension trivial, so
     # there is no eigenvector to ask LAPACK for
-    monkeypatch.setattr(scipy.linalg, "eigh", _refuse)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _refuse)
     table = np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
     model = compute_ca(CaInput(table, ("a", "b", "c"), ("x", "y", "z")), dims=2)
     assert model.dims == 0
@@ -259,27 +257,83 @@ def _occupied_table(rng, n_rows, n_cols, extra):
 
 def test_fit_computes_no_full_eigenvector_matrix(monkeypatch):
     import scipy.linalg
+    from scipy.linalg import lapack
 
     table = _occupied_table(np.random.default_rng(3), 300, 400, 6_000)
     oracle = oracles.ca_eigen_oracle(table.toarray(), tuple(f"c{j}" for j in range(400)))
-    subsets = []
-    full_eigh = scipy.linalg.eigh
+    reductions, subsets = [], []
+    dsytrd, eigh_tridiagonal = lapack.dsytrd, scipy.linalg.eigh_tridiagonal
 
-    def leading_only(a, **kwargs):
-        subsets.append(kwargs.get("subset_by_index"))
-        return full_eigh(a, **kwargs)
+    def counted_dsytrd(*args, **kwargs):
+        reductions.append(args[0].shape)
+        return dsytrd(*args, **kwargs)
+
+    def recorded_eigh_tridiagonal(d, e, **kwargs):
+        subsets.append(kwargs.get("select_range"))
+        return eigh_tridiagonal(d, e, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
     monkeypatch.setattr(np.linalg, "svd", _refuse)
-    monkeypatch.setattr(scipy.linalg, "eigh", leading_only)
+    monkeypatch.setattr(scipy.linalg, "eigh", _refuse)
+    monkeypatch.setattr(lapack, "dsytrd", counted_dsytrd)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recorded_eigh_tridiagonal)
     model = compute_ca(_labeled(table), dims=2)
-    assert subsets == [(298, 299)]  # the 300-row Gram matrix's two leading vectors
+    assert reductions == [(300, 300)]  # the 300-row Gram matrix, reduced once
+    assert subsets == [(298, 299)]  # and only its two leading vectors
     # The oracle squares S, so its rounding noise passes its own 1e-12 rule
     # as spurious values after the 299 real ones.
     assert model.singular_values.size == 299
     assert np.allclose(model.singular_values, oracle["singular_values"][:299], atol=1e-9)
     assert np.allclose(model.row_coords_principal, oracle["row_principal"][:, :2], atol=1e-9)
     assert np.allclose(model.col_coords_principal, oracle["col_principal"][:, :2], atol=1e-9)
+
+
+def test_failed_reduction_is_a_linalg_error(monkeypatch):
+    from scipy.linalg import lapack
+
+    dsytrd = lapack.dsytrd
+
+    def failing(*args, **kwargs):
+        return (*dsytrd(*args, **kwargs)[:4], -1)
+
+    monkeypatch.setattr(lapack, "dsytrd", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="dsytrd"):
+        compute_ca(_labeled(FIXTURE), dims=2)
+
+
+def test_gram_block_size_does_not_change_the_fit(monkeypatch, tmp_path):
+    import lexevo.ca
+
+    # A 30-row Gram side is not a multiple of 7, so the last block is short.
+    table = _occupied_table(np.random.default_rng(4), 30, 45, 200)
+    fits = []
+    for block in (lexevo.ca._BLOCK_ROWS, 7):
+        monkeypatch.setattr(lexevo.ca, "_BLOCK_ROWS", block)
+        model = compute_ca(_labeled(table), dims=4)
+        path = tmp_path / f"ca_model_{block}.json"
+        write_model_json(model, path)
+        fits.append((path.read_bytes(), model.row_coords_principal, model.col_coords_principal))
+    (json_a, rows_a, cols_a), (json_b, rows_b, cols_b) = fits
+    assert json_a == json_b
+    assert np.array_equal(rows_a, rows_b) and np.array_equal(cols_a, cols_b)
+
+
+def test_fit_peaks_near_one_gram_matrix():
+    import scipy.linalg  # noqa: F401 - the fit's import is not its memory
+
+    # A 1,500-row Gram side is several blocks long. Beside the Gram matrix,
+    # the fit holds one block's sparse product, LAPACK's work arrays and
+    # arrays of one side's length, never a second n x n array.
+    table = _occupied_table(np.random.default_rng(9), 1_500, 2_000, 4_000)
+    gram_bytes = 1_500**2 * 8
+    tracemalloc.start()
+    try:
+        compute_ca(_labeled(table), dims=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * gram_bytes, peak / gram_bytes
 
 
 @pytest.mark.parametrize(
@@ -491,38 +545,6 @@ def test_aggregate_year_profiles_omits_zero_years_with_warning(caplog):
         profiles = aggregate_year_profiles(CaInput.from_counts(zero_row), corpus)
     assert [year for year, _ in profiles] == [2019]
     assert any("2020" in rec.message for rec in caplog.records)
-
-
-# --- distances -------------------------------------------------------------------
-
-
-def test_point_distance_and_nearest():
-    model = _model()
-    d = point_distance(model, "col", "alpha", "beta")
-    manual = np.linalg.norm(
-        model.col_coords_principal[0] - model.col_coords_principal[1]
-    )
-    assert d == pytest.approx(float(manual), abs=1e-12)
-
-    nearest = nearest_points(model, "col", "alpha", k=2)
-    assert nearest[0] == ("alpha", 0.0)  # a label anchor is its own nearest
-    assert nearest[1][1] >= 0
-
-
-def test_nearest_accepts_raw_coordinates():
-    model = _model()
-    got = nearest_points(model, "col", model.col_coords_principal[2], k=1)
-    assert got[0][0] == "gamma"
-
-
-def test_nearest_validates_inputs():
-    model = _model()
-    with pytest.raises(LabelNotFoundError):
-        point_distance(model, "col", "alpha", "nope")
-    with pytest.raises(ValidationError):
-        nearest_points(model, "col", "alpha", k=0)
-    with pytest.raises(ValidationError):
-        nearest_points(model, "col", [0.0], k=1)  # wrong dimensionality
 
 
 # --- artifacts --------------------------------------------------------------------
