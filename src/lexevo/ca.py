@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -135,9 +136,10 @@ class CaModel:
     """Fitted correspondence analysis.
 
     ``singular_values`` holds every non-trivial singular value (descending;
-    non-trivial under the module's zero rule), so ``inertia_total`` equals
-    their squared sum; coordinate matrices keep only the retained ``dims``
-    leading dimensions.
+    non-trivial under the module's zero rule); coordinate matrices keep only
+    the retained leading dimensions. ``dims``, ``inertia_total`` and
+    ``inertia_shares`` are computed from those once, on first use, so a
+    reloaded model derives them exactly as the fitted one does.
     """
 
     row_labels: tuple[str, ...]
@@ -145,13 +147,28 @@ class CaModel:
     row_masses: np.ndarray
     col_masses: np.ndarray
     singular_values: np.ndarray
-    inertia_total: float
-    inertia_shares: np.ndarray
-    dims: int
     row_coords_standard: np.ndarray
     col_coords_standard: np.ndarray
     row_coords_principal: np.ndarray
     col_coords_principal: np.ndarray
+
+    @cached_property
+    def dims(self) -> int:
+        """Number of retained dimensions: the coordinates' width."""
+        return self.col_coords_principal.shape[1]
+
+    @cached_property
+    def inertia_total(self) -> float:
+        """Sum of the squared singular values."""
+        return float(np.sum(self.singular_values**2))
+
+    @cached_property
+    def inertia_shares(self) -> np.ndarray:
+        """Each dimension's share of the total inertia; all zero when the
+        total is zero."""
+        total = self.inertia_total
+        sv = self.singular_values
+        return sv**2 / total if total > 0 else np.zeros_like(sv)
 
 
 def _canonicalize_signs(
@@ -254,17 +271,12 @@ def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
     _canonicalize_signs(u, v, col_std, inp.col_labels)
     row_std = u / root_a[:, None]
 
-    inertia_total = float(np.sum(sv**2))
-    shares = sv**2 / inertia_total if inertia_total > 0 else np.zeros_like(sv)
     return CaModel(
         row_labels=tuple(inp.row_labels),
         col_labels=tuple(inp.col_labels),
         row_masses=a,
         col_masses=b,
         singular_values=sv,
-        inertia_total=inertia_total,
-        inertia_shares=shares,
-        dims=k,
         row_coords_standard=row_std,
         col_coords_standard=col_std,
         row_coords_principal=row_std * sv[:k],
@@ -274,14 +286,9 @@ def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
 
 @dataclass(frozen=True, eq=False)
 class SupplementaryProjection:
-    """A profile projected into an existing solution without mass.
-
-    ``profile`` is the normalized (sum 1) profile over the active columns;
-    it is None for projections reloaded from disk artifacts.
-    """
+    """A profile projected into an existing solution without mass."""
 
     label: str
-    profile: np.ndarray | None
     coords: np.ndarray
 
 
@@ -306,7 +313,7 @@ def project_supplementary(
     if total <= 0:
         raise ValidationError("profile must have at least one positive entry")
     r = r / total
-    return SupplementaryProjection(label, r, r @ model.col_coords_standard)
+    return SupplementaryProjection(label, r @ model.col_coords_standard)
 
 
 def aggregate_year_profiles(
@@ -408,9 +415,6 @@ def read_model_artifacts(coords_src: str | Path, model_src: str | Path) -> CaMod
         row_masses=masses[is_row],
         col_masses=masses[~is_row],
         singular_values=sv,
-        inertia_total=float(meta["inertia_total"]),
-        inertia_shares=np.asarray(meta["inertia_shares"], dtype=np.float64),
-        dims=k,
         row_coords_standard=row_pri / lam if k else row_pri,
         col_coords_standard=col_pri / lam if k else col_pri,
         row_coords_principal=row_pri,
@@ -422,4 +426,4 @@ def read_year_coords_tsv(src: str | Path, dims: int) -> list[SupplementaryProjec
     """The projections of ``year_coords.tsv``, which holds ``dims`` coordinates."""
     labels, *values = artifacts.read_tsv(src, _year_columns(dims))
     coords = np.asarray(values).reshape(dims, len(labels)).T
-    return [SupplementaryProjection(label, None, c) for label, c in zip(labels, coords)]
+    return [SupplementaryProjection(label, c) for label, c in zip(labels, coords)]

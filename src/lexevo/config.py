@@ -27,7 +27,7 @@ from .corpus import (
 )
 from .errors import ConfigError, ValidationError
 from .periods import DEFAULT_PERIOD_SPEC, PeriodSpec
-from .textpipe import WeightScheme
+from .textpipe import DEFAULT_MIN_TERM_FREQUENCY, DEFAULT_MIN_TOKEN_LEN, WeightScheme
 
 __all__ = [
     "RunConfig",
@@ -59,8 +59,8 @@ class RunConfig:
     year_max: int = DEFAULT_YEAR_WINDOW[1]
     builtin_stopwords: bool = True
     stoplists: tuple[Path, ...] = ()
-    min_token_len: int = 2
-    min_term_freq: int = 5
+    min_token_len: int = DEFAULT_MIN_TOKEN_LEN
+    min_term_freq: int = DEFAULT_MIN_TERM_FREQUENCY
     auto_stop_df: float = 0.0
     weighting: WeightScheme = WeightScheme.RELATIVE_FREQUENCY
     ca_input: str = "counts"

@@ -212,29 +212,17 @@ CANONICAL_SCHEMA = CsvSchema(
 )
 
 
-def _decode_source(source: bytes | bytearray | IO) -> str:
-    # Exports often start with a UTF-8 byte-order mark; it is not data.
-    if isinstance(source, (bytes, bytearray)):
-        data: bytes = bytes(source)
-    else:
-        data = source.read()
-        if isinstance(data, str):
-            return data.removeprefix("\ufeff")
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
-
-
 def parse_bibliographic_csv(
-    source: bytes | bytearray | IO,
+    source: bytes,
     schema: CsvSchema,
     *,
     year_window: tuple[int, int] = DEFAULT_YEAR_WINDOW,
 ) -> Corpus:
-    """Parse a bibliographic CSV export into a :class:`Corpus`.
+    """Parse the bytes of a bibliographic CSV export into a :class:`Corpus`.
 
-    One document per data row. Keywords are split on ``;`` and trimmed.
+    The bytes must be UTF-8 (:class:`EncodingError` otherwise); a leading
+    byte-order mark, which exports often carry, is not data. One document
+    per data row. Keywords are split on ``;`` and trimmed.
     Rows with a malformed year or citation count (or a year outside
     ``year_window``, or a duplicate id, or an id that holds a tab or a
     line break and so cannot be a cell of a TSV artifact) are collected
@@ -242,7 +230,13 @@ def parse_bibliographic_csv(
     The returned provenance has ``loaded == retained`` and zero exclusions:
     filtering is a separate, explicit step (:func:`filter_corpus`).
     """
-    text = _decode_source(source)
+    try:
+        text = source.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
+    # load_corpus_csv hands over its only reference: free the bytes while
+    # the documents are built.
+    del source
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -332,10 +326,14 @@ def parse_bibliographic_csv(
     return Corpus(tuple(documents), report, tuple(rejects))
 
 
-def load_corpus_csv(path: str | Path, schema: CsvSchema, **kwargs) -> Corpus:
+def load_corpus_csv(
+    path: str | Path,
+    schema: CsvSchema,
+    *,
+    year_window: tuple[int, int] = DEFAULT_YEAR_WINDOW,
+) -> Corpus:
     """Parse a CSV file from disk (convenience wrapper)."""
-    with open(path, "rb") as fh:
-        return parse_bibliographic_csv(fh, schema, **kwargs)
+    return parse_bibliographic_csv(Path(path).read_bytes(), schema, year_window=year_window)
 
 
 def filter_corpus(
@@ -376,18 +374,15 @@ class _LfLines:
         return self._fh.write(line[:-2] + "\n")
 
 
-def write_corpus_csv(
-    corpus: Corpus,
-    dest: str | Path,
-    schema: CsvSchema = CANONICAL_SCHEMA,
-) -> None:
-    """Canonical writer: RFC 4180, UTF-8, fields in schema order,
-    ``\\n`` line endings, minimal quoting (a field holding ``\\r`` or
-    ``\\n`` is quoted). Keywords joined with ``"; "``.
+def write_corpus_csv(corpus: Corpus, dest: str | Path) -> None:
+    """Canonical writer: RFC 4180, UTF-8, the columns of
+    :data:`CANONICAL_SCHEMA` in its field order, ``\\n`` line endings,
+    minimal quoting (a field holding ``\\r`` or ``\\n`` is quoted). Keywords
+    joined with ``"; "``.
 
     parse -> write -> parse round-trips to field-identical documents.
     """
-    columns = schema.mapped_columns()
+    columns = CANONICAL_SCHEMA.mapped_columns()
     with artifacts.open_writer(dest) as fh:
         writer = csv.writer(_LfLines(fh), lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
         writer.writerow([col for _, col in columns])

@@ -148,20 +148,15 @@ def characteristic_terms(
     assignment: Mapping[str, str | None],
     period: str,
     k: int,
-    period_names: Sequence[str] | None = None,
+    period_names: Sequence[str],
 ) -> list[tuple[str, float]]:
     """Top ``k`` terms by standardized residual for one period, descending,
     ties broken lexicographically.
 
-    ``period_names`` fixes the set of table rows; by default it is the set
-    of period names appearing in the assignment, in first-appearance order.
+    ``period_names`` (such as ``PeriodSpec.names()``) fixes the rows of the
+    period-by-term table, in order; documents assigned to none of them are
+    pooled into a trailing unassigned row when they hold any counts.
     """
-    if period_names is None:
-        seen: dict[str, None] = {}
-        for name in assignment.values():
-            if name is not None:
-                seen.setdefault(name)
-        period_names = list(seen)
     if period not in period_names:
         raise LabelNotFoundError(f"unknown period {period!r}")
 

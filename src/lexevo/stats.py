@@ -86,7 +86,6 @@ class TermFrequencyRow:
 class TermFrequencyTable:
     rows: tuple[TermFrequencyRow, ...]
     selected_share: float  # fraction covered by the selected terms together
-    truncated: bool  # True when top_k exceeded the vocabulary size
 
 
 def term_frequency_table(vocab: Vocabulary, top_k: int) -> TermFrequencyTable:
@@ -95,7 +94,6 @@ def term_frequency_table(vocab: Vocabulary, top_k: int) -> TermFrequencyTable:
     frequency mass over the whole vocabulary mass."""
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")
-    truncated = top_k > len(vocab)
     chosen = vocab.terms[: min(top_k, len(vocab))]
     total = sum(vocab.total_frequency.values())
     rows = tuple(
@@ -103,7 +101,7 @@ def term_frequency_table(vocab: Vocabulary, top_k: int) -> TermFrequencyTable:
         for t in chosen
     )
     selected = sum(r.frequency for r in rows)
-    return TermFrequencyTable(rows, selected / total, truncated)
+    return TermFrequencyTable(rows, selected / total)
 
 
 def publications_per_year(corpus: Corpus) -> YearlyCounts:

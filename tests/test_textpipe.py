@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from lexevo import artifacts
 from lexevo.errors import (
     ConfigError,
     DegenerateCorpusError,
@@ -478,7 +479,7 @@ def test_weights_tsv_preserves_exact_floats(small_dtm, tmp_path):
     wm = weight_matrix(small_dtm, WeightScheme.TF_IDF)
     path = tmp_path / "weighted.tsv"
     write_counts_tsv(small_dtm.rows, small_dtm.terms, wm, path, value_name="weight")
-    _, triplets = read_counts_tsv(path, value_name="weight")
+    triplets = artifacts.read_tsv(path, (("doc_id", str), ("term", str), ("weight", float)))
     dense = wm.toarray()
     index = small_dtm.vocabulary.index
     row_index = {r: i for i, r in enumerate(small_dtm.rows)}

@@ -269,13 +269,6 @@ def test_ca_map_axis_labels_carry_inertia_percentages():
     assert f"Dim 2 ({model.inertia_shares[1] * 100:.1f}%)" in text
 
 
-def test_ca_map_optionally_includes_document_points():
-    model, _ = _ca_model()
-    root = _svg_root(render_ca_map(model, include_rows=True))
-    groups = {g.get("class") for g in root.findall(f"{SVG}g")}
-    assert "docs" in groups
-
-
 def test_ca_map_requires_two_dimensions():
     matrix = np.array([[5, 1, 2], [1, 6, 1]], dtype=float)  # rank allows 1 dim
     model = compute_ca(CaInput(matrix, ("r0", "r1"), ("x", "y", "z")), dims=1)
