@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from . import artifacts
 from .errors import DataError, EncodingError, SchemaError
@@ -212,6 +212,26 @@ CANONICAL_SCHEMA = CsvSchema(
 )
 
 
+def _records(source: bytes) -> Iterator[list[str]]:
+    """The CSV records of UTF-8 bytes, decoded as they are read.
+
+    ``newline=""`` leaves line endings to the CSV reader, as RFC 4180
+    wants, and ``utf-8-sig`` drops a leading byte-order mark. A decode
+    error becomes an :class:`EncodingError` naming the offending bytes and
+    their offset in ``source``: the decoder only sees the pending bytes
+    plus the chunk just read, which end at the buffer's position.
+    """
+    text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
+    try:
+        yield from csv.reader(text)
+    except UnicodeDecodeError as exc:
+        offset = text.buffer.tell() - len(exc.object) + exc.start
+        bad = exc.object[exc.start:exc.end].hex(" ")
+        raise EncodingError(
+            f"input is not valid UTF-8 at byte {offset} ({bad}): {exc.reason}"
+        ) from None
+
+
 def parse_bibliographic_csv(
     source: bytes,
     schema: CsvSchema,
@@ -220,9 +240,12 @@ def parse_bibliographic_csv(
 ) -> Corpus:
     """Parse the bytes of a bibliographic CSV export into a :class:`Corpus`.
 
-    The bytes must be UTF-8 (:class:`EncodingError` otherwise); a leading
-    byte-order mark, which exports often carry, is not data. One document
-    per data row. Keywords are split on ``;`` and trimmed.
+    The bytes must be UTF-8 (:class:`EncodingError` otherwise, and no
+    documents are returned); a leading byte-order mark, which exports often
+    carry, is not data. The bytes are decoded chunk by chunk as the CSV
+    reader asks for lines, so the decoded text is never held whole: each
+    field becomes its own string. One document per data row. Keywords are
+    split on ``;`` and trimmed.
     Rows with a malformed year or citation count (or a year outside
     ``year_window``, or a duplicate id, or an id that holds a tab or a
     line break and so cannot be a cell of a TSV artifact) are collected
@@ -230,14 +253,7 @@ def parse_bibliographic_csv(
     The returned provenance has ``loaded == retained`` and zero exclusions:
     filtering is a separate, explicit step (:func:`filter_corpus`).
     """
-    try:
-        text = source.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
-    # load_corpus_csv hands over its only reference: free the bytes while
-    # the documents are built.
-    del source
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = _records(source)
     try:
         header = next(reader)
     except StopIteration:

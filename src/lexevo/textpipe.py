@@ -1,9 +1,11 @@
 """Abstract text processing: tokens, stopwords, vocabulary and the
 sparse document-term matrix, plus the pluggable weighting schemes.
 
-The tokenized corpus is counted once, by ``count_terms``: it gives every
-distinct token an integer column, in order of first appearance, and builds
-one int64 CSR matrix of per-document counts, a :class:`TermCounts`. Every
+``tokenize_documents`` keeps one string object per distinct token, which
+every stream that holds the token points to. The tokenized corpus is
+counted once, by ``count_terms``: it gives every distinct token an integer
+column, in order of first appearance, and builds one int64 CSR matrix of
+per-document counts, a :class:`TermCounts`. Every
 later step reads that matrix instead of the tokens: ``auto_stop_terms``
 reads document frequencies (column nnz), ``build_vocabulary`` reads totals
 and document frequencies (column sums and nnz) and skips stoplisted
@@ -135,11 +137,17 @@ def tokenize(text: str, min_len: int = DEFAULT_MIN_TOKEN_LEN) -> list[str]:
 def tokenize_documents(
     corpus: Corpus, min_len: int = DEFAULT_MIN_TOKEN_LEN
 ) -> list[TokenStream]:
-    """Tokenize every abstract of the corpus, in corpus order."""
-    return [
-        TokenStream(doc.id, tuple(tokenize(doc.abstract, min_len)))
-        for doc in corpus.documents
-    ]
+    """Tokenize every abstract of the corpus, in corpus order.
+
+    Equal tokens are one string object across all the streams: a stream
+    holds pointers to the corpus's distinct tokens, not a string per
+    occurrence."""
+    canonical: dict[str, str] = {}
+    streams = []
+    for doc in corpus.documents:
+        tokens = tokenize(doc.abstract, min_len)
+        streams.append(TokenStream(doc.id, tuple(map(canonical.setdefault, tokens, tokens))))
+    return streams
 
 
 def load_stoplist(path: str | Path) -> frozenset[str]:

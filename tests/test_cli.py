@@ -173,6 +173,18 @@ def test_data_error_exits_2(tmp_path, write_mini_config):
     assert main(["stats", "--config", str(config)]) == 2
 
 
+def test_ingest_of_an_invalid_utf8_export_exits_2(tmp_path, write_mini_config, capsys):
+    raw = bytearray((Path(pipeline.__file__).parent / "data" / "mini_corpus.csv").read_bytes())
+    bad = raw.index(b"e", 3 * len(raw) // 4)  # past the first 8 KiB decode chunk
+    raw[bad] = 0xFF
+    source = tmp_path / "export.csv"
+    source.write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(write_mini_config(out, source=source))]) == 2
+    assert f"not valid UTF-8 at byte {bad} (ff)" in capsys.readouterr().err
+    assert not (out / "corpus.csv").exists()
+
+
 def test_internal_error_exits_3(tmp_path, write_mini_config, monkeypatch):
     out = tmp_path / "out"
     config = write_mini_config(out)

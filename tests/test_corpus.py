@@ -1,6 +1,11 @@
-import pytest
-from hypothesis import given, strategies as st
+import csv
+import io
+import tracemalloc
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lexevo import corpus as corpus_module
 from lexevo.corpus import (
     CANONICAL_SCHEMA,
     Corpus,
@@ -154,6 +159,127 @@ def test_parse_with_renamed_columns():
     corpus = parse_bibliographic_csv(raw, schema)
     assert corpus.documents[0].doc_type is DocType.CONFERENCE_PAPER
     assert corpus.documents[0].keywords == ()
+
+
+# --- streamed decode --------------------------------------------------------
+
+_CHUNK = 8192  # bytes the text layer reads and decodes at a time
+_BOM = b"\xef\xbb\xbf"
+_COLUMNS = ("id", "title", "abstract", "keywords", "year", "doc_type", "citations")
+
+
+def _whole_text_records(source: bytes):
+    """The oracle: decode the whole export, then split it into records."""
+    return csv.reader(io.StringIO(source.decode("utf-8-sig"), newline=""))
+
+
+def _whole_text_parse(source: bytes) -> Corpus:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_module, "_records", _whole_text_records)
+        return parse_bibliographic_csv(source, CANONICAL_SCHEMA)
+
+
+_cells = st.lists(
+    st.one_of(
+        st.sampled_from(
+            ["\n", "\r\n", "\r", "\x0c", "\u2028", "\x85", ",", '"', ";", " ",
+             "\u00e9", "\u2014", "\U0001d6fc", "\u5b57"]
+        ),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=12,
+).map("".join)
+_rows = st.lists(
+    st.fixed_dictionaries(
+        {
+            "id": st.one_of(st.sampled_from(["", "a", "b"]), _cells),
+            "title": _cells,
+            "abstract": _cells,
+            "keywords": _cells,
+            "year": st.one_of(st.integers(1890, 2110).map(str), _cells),
+            "doc_type": st.one_of(st.sampled_from(["Article", "Review", "Letter"]), _cells),
+            "citations": st.one_of(st.integers(-2, 40).map(str), _cells),
+        }
+    ),
+    max_size=30,
+)
+
+
+@st.composite
+def _exports(draw) -> bytes:
+    """A CSV export larger than one decode chunk, with a multi-byte
+    character or a CRLF that starts 1 to 4 bytes before the end of the
+    first chunk, so that it often straddles the boundary."""
+    columns = draw(st.permutations(_COLUMNS))
+    terminator = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    bom = _BOM if draw(st.booleans()) else b""
+    pivot = draw(st.sampled_from(["\u00e9", "\u2014", "\U0001d6fc", "\r\n"]))
+    shift = draw(st.integers(1, 4))  # the pivot starts this many bytes before the boundary
+
+    def encode(rows) -> bytes:
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator=terminator, quoting=quoting)
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
+        return bom + text.getvalue().encode("utf-8")
+
+    filler = dict(zip(_COLUMNS, ("f", "t", "@" + pivot, "", "2020", "Article", "0")))
+    at = encode([filler]).index(b"@")  # the pivot quotes the field or not
+    filler["abstract"] = "x" * (_CHUNK - shift - at) + pivot
+    source = encode([filler, *draw(_rows)])
+    assert source.index(pivot.encode("utf-8"), _CHUNK - 8) == _CHUNK - shift
+    return source
+
+
+@settings(max_examples=50, deadline=None)
+@given(_exports())
+def test_streamed_decode_parses_like_the_whole_text(source):
+    assert len(source) > _CHUNK
+    assert list(corpus_module._records(source)) == list(_whole_text_records(source))
+    assert parse_bibliographic_csv(source, CANONICAL_SCHEMA) == _whole_text_parse(source)
+
+
+_HEAD = _csv("a,t,ok,,2020,article,0")
+_FAR = _HEAD + b"b,t," + b"x" * 3 * _CHUNK  # the next byte is past the first chunks
+_INVALID_UTF8 = {
+    "past-the-first-chunk": (_FAR + b"\xff,,2020,article,0\n", len(_FAR)),
+    "past-the-first-chunk-after-a-bom": (
+        _BOM + _FAR + b"\xff,,2020,article,0\n", len(_BOM) + len(_FAR)
+    ),
+    "in-the-header": (_BOM + b"id,ti\xe9tle,abstract\n" + _HEAD, len(_BOM) + 5),
+    "truncated-at-the-end": (_FAR + "\u2014".encode("utf-8")[:2], len(_FAR)),
+}
+
+
+@pytest.mark.parametrize(("source", "offset"), _INVALID_UTF8.values(), ids=_INVALID_UTF8)
+def test_invalid_utf8_is_an_encoding_error_at_its_offset_in_the_file(source, offset):
+    with pytest.raises(UnicodeDecodeError):
+        source.decode("utf-8-sig")
+    with pytest.raises(EncodingError, match=f"not valid UTF-8 at byte {offset} "):
+        parse_bibliographic_csv(source, CANONICAL_SCHEMA)
+
+
+def test_parse_peak_memory_stays_below_twice_the_export():
+    # Real exports carry characters beyond Latin-1 (dashes, Greek letters):
+    # a whole decoded text would then cost 2 or 4 bytes per character.
+    rare = ["caf\u00e9"] * 49 + ["\U0001d6fc"]
+    rows = [
+        f"d{i},Title {i} \u2014 part {i % 7},"
+        f"\"Abstract {i}: the {'lexical evolution of a field, ' * 42}{rare[i % 50]}.\","
+        f"alpha; beta,{2000 + i % 20},Article,{i % 50}"
+        for i in range(1700)
+    ]
+    source = _csv(*rows)
+    assert len(source) >= 2_000_000
+    tracemalloc.start()
+    try:
+        corpus = parse_bibliographic_csv(source, CANONICAL_SCHEMA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 1700
+    assert peak < 2 * len(source)
 
 
 @pytest.mark.parametrize(

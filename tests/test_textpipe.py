@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import unicodedata
 from collections import Counter
 
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from lexevo import artifacts
+from lexevo.corpus import Corpus, DocType, Document, FilterReport
 from lexevo.errors import (
     ConfigError,
     DegenerateCorpusError,
@@ -31,6 +33,7 @@ from lexevo.textpipe import (
     read_vocabulary_tsv,
     remove_stopwords,
     tokenize,
+    tokenize_documents,
     uniqueness_stats,
     weight_matrix,
     write_counts_tsv,
@@ -135,6 +138,48 @@ def test_tokens_are_normalized(text):
         assert len(token) >= 2
         assert token[0].isalpha()
         assert all(c.isalpha() or unicodedata.category(c).startswith("M") for c in token)
+
+
+def _abstracts_corpus(abstracts):
+    docs = tuple(
+        Document(f"d{i}", "", text, (), 2020, DocType.ARTICLE, 0)
+        for i, text in enumerate(abstracts)
+    )
+    return Corpus(docs, FilterReport(len(docs), 0, 0, len(docs)))
+
+
+def test_tokenize_documents_shares_one_string_per_distinct_token():
+    corpus = _abstracts_corpus(["Alpha beta, ALPHA.", "beta gamma alpha", "Gamma"])
+    streams = tokenize_documents(corpus)
+    assert [s.tokens for s in streams] == [
+        ("alpha", "beta", "alpha"), ("beta", "gamma", "alpha"), ("gamma",)
+    ]
+    by_text = {}
+    for stream in streams:
+        for token in stream.tokens:
+            assert by_text.setdefault(token, token) is token
+
+
+def test_tokenize_documents_holds_pointers_not_a_string_per_token():
+    # 600 documents of 200 tokens drawn from eight words: a string per
+    # occurrence costs about 60 bytes a token, a pointer 8.
+    words = ["language", "evolution", "corpus", "abstract",
+             "analysis", "lexical", "trend", "period"]
+    abstracts = [
+        " ".join(words[(i * 7 + j * 3) % len(words)] for j in range(200))
+        for i in range(600)
+    ]
+    corpus = _abstracts_corpus(abstracts)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        streams = tokenize_documents(corpus)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n_tokens = sum(len(s.tokens) for s in streams)
+    assert n_tokens == 600 * 200
+    assert grown / n_tokens < 16
 
 
 # --- stopwords --------------------------------------------------------------
