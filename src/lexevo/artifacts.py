@@ -1,8 +1,13 @@
 """The one module that reads and writes artifact files: text, TSV and JSON.
 
-Each function takes a path; text is UTF-8 with ``\\n`` line endings. A write
-goes to a temporary file beside the destination, which :func:`os.replace`
-then moves into place, so a crash never leaves a half-written artifact.
+It is also the one module that turns bytes into text and text into bytes,
+for every file the package reads: the export, the config, stoplists and
+the artifacts. Text is UTF-8 with ``\\n`` line endings; a leading
+byte-order mark is not text. Bytes that are not UTF-8 raise
+:class:`EncodingError` naming the file and the offset of the first bad
+byte. A write goes to a temporary file beside the destination, which
+:func:`os.replace` then moves into place, so a crash never leaves a
+half-written artifact.
 
 A TSV table is typed columns, declared once by the module that owns the
 table as ``(name, type)`` pairs (``str``, ``int`` or ``float``) for both
@@ -16,6 +21,7 @@ does not parse raises :class:`DependencyError` naming the file and line.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from contextlib import contextmanager
@@ -25,13 +31,43 @@ from typing import IO, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DependencyError
+from .errors import DependencyError, EncodingError
 
 #: A table's declaration: each column's name and the type of its values.
 Columns = Sequence[tuple[str, type]]
 
 #: Rows that :func:`write_tsv` converts and writes at a time.
 _BLOCK_ROWS = 8192
+
+
+def read_text(src: str | Path) -> str:
+    """The text of a UTF-8 file."""
+    data = Path(src).read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(src, len(data), exc) from None
+
+
+def text_lines(source: bytes, name: str) -> Iterator[str]:
+    """The lines of UTF-8 bytes, decoded as they are read, so the decoded
+    text is never held whole. Line endings are kept and not translated,
+    as a CSV reader wants; ``name`` names ``source`` in an error."""
+    text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
+    try:
+        yield from text
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(name, text.buffer.tell(), exc) from None
+
+
+def _not_utf8(name: str | Path, consumed: int, exc: UnicodeDecodeError) -> EncodingError:
+    """The error for ``exc``, raised after ``consumed`` bytes went to the
+    decoder. The decoder saw only its pending bytes (after any byte-order
+    mark), which end there, so the bad byte's offset in the file is
+    ``consumed - len(exc.object) + exc.start``."""
+    offset = consumed - len(exc.object) + exc.start
+    bad = exc.object[exc.start:exc.end].hex(" ")
+    return EncodingError(f"{name} is not valid UTF-8 at byte {offset} ({bad}): {exc.reason}")
 
 
 @contextmanager
@@ -87,7 +123,7 @@ def _to_cells(kind: type, values: Iterable) -> Iterable[str]:
 
 def read_tsv(src: str | Path, columns: Columns) -> list[list]:
     """The declared columns under the header, each a list in file order."""
-    lines = Path(src).read_text(encoding="utf-8").splitlines()
+    lines = read_text(src).splitlines()
     if not lines:
         raise DependencyError(f"malformed artifact {src}: no header line")
     width = lines[0].count("\t") + 1
@@ -124,6 +160,6 @@ def write_json(dest: str | Path, payload: Any) -> None:
 
 def read_json(src: str | Path) -> Any:
     try:
-        return json.loads(Path(src).read_text(encoding="utf-8"))
+        return json.loads(read_text(src))
     except json.JSONDecodeError as exc:
         raise DependencyError(f"malformed artifact {src}: line {exc.lineno}: {exc.msg}") from None

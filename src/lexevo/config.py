@@ -1,14 +1,14 @@
 """Run configuration.
 
 Every tunable for a pipeline run lives in one small UTF-8 config file of
-``key = value`` lines, so a run is reproducible from (config file, input
-CSV, seed). ``#`` starts a full-line comment; blank lines are ignored;
-keys may appear at most once. List-valued keys use commas. The keys are
-the fields of :class:`RunConfig`, except that CSV column names are
-remapped with one dotted ``schema.*`` key per :class:`CsvSchema` field;
-each field's type picks the codec that parses and echoes its value.
-Relative paths are resolved against the directory containing the config
-file.
+``key = value`` lines (a leading byte-order mark is ignored), so a run is
+reproducible from (config file, input CSV, seed). ``#`` starts a full-line
+comment; blank lines are ignored; keys may appear at most once. List-valued
+keys use commas. The keys are the fields of :class:`RunConfig`, except that
+CSV column names are remapped with one dotted ``schema.*`` key per
+:class:`CsvSchema` field; each field's type picks the codec that parses and
+echoes its value. Relative paths are resolved against the directory
+containing the config file.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, get_type_hints
 
+from . import artifacts
 from .corpus import (
     CANONICAL_SCHEMA,
     DEFAULT_EXCLUDED_TYPES,
@@ -221,11 +222,9 @@ def load_config(path: str | Path) -> RunConfig:
     the file's own directory."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = artifacts.read_text(p)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {p}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {p} is not valid UTF-8: {exc}") from None
     cfg = parse_config_text(text, base_dir=p.parent)
     cfg.check_paths()
     return cfg

@@ -9,14 +9,13 @@ a parsed corpus can be shared freely across threads.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from . import artifacts
-from .errors import DataError, EncodingError, SchemaError
+from .errors import DataError, SchemaError
 
 __all__ = [
     "DocType",
@@ -213,23 +212,8 @@ CANONICAL_SCHEMA = CsvSchema(
 
 
 def _records(source: bytes) -> Iterator[list[str]]:
-    """The CSV records of UTF-8 bytes, decoded as they are read.
-
-    ``newline=""`` leaves line endings to the CSV reader, as RFC 4180
-    wants, and ``utf-8-sig`` drops a leading byte-order mark. A decode
-    error becomes an :class:`EncodingError` naming the offending bytes and
-    their offset in ``source``: the decoder only sees the pending bytes
-    plus the chunk just read, which end at the buffer's position.
-    """
-    text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
-    try:
-        yield from csv.reader(text)
-    except UnicodeDecodeError as exc:
-        offset = text.buffer.tell() - len(exc.object) + exc.start
-        bad = exc.object[exc.start:exc.end].hex(" ")
-        raise EncodingError(
-            f"input is not valid UTF-8 at byte {offset} ({bad}): {exc.reason}"
-        ) from None
+    """The CSV records of UTF-8 bytes, decoded as they are read."""
+    return csv.reader(artifacts.text_lines(source, "input"))
 
 
 def parse_bibliographic_csv(

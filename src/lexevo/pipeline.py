@@ -10,11 +10,12 @@ starts with an empty workspace and parses what earlier stages left in the
 directory. Either way the artifacts are byte-identical, and any stage can
 be re-run in isolation. A missing upstream artifact raises
 :class:`DependencyError` naming the subcommand that produces it, and so
-does a malformed one, naming the file: a table or JSON file that
-:mod:`lexevo.artifacts` cannot parse (with the line), a ``dtm.tsv`` term
-missing from ``vocabulary.tsv`` (with the line), a ``corpus.csv`` record
-that no longer parses (with the record), or a field a reader needs that is
-missing or of the wrong type. The CLI exits 1 for all of these.
+does a malformed one, naming the file: bytes that are not UTF-8 (with the
+offset), a table or JSON file that :mod:`lexevo.artifacts` cannot parse
+(with the line), a ``dtm.tsv`` term missing from ``vocabulary.tsv`` (with
+the line), a ``corpus.csv`` record that no longer parses (with the record),
+or a field a reader needs that is missing or of the wrong type. The CLI
+exits 1 for all of these.
 
 Every artifact is written through :mod:`lexevo.artifacts`, atomically: to
 a temporary file in the output directory that then replaces the artifact.
@@ -52,7 +53,12 @@ from .corpus import (
     write_corpus_csv,
     write_rejects_report,
 )
-from .errors import DegenerateCorpusError, DependencyError, InsufficientDataError
+from .errors import (
+    DegenerateCorpusError,
+    DependencyError,
+    EncodingError,
+    InsufficientDataError,
+)
 from .stopwords import ENGLISH_STOPWORDS
 
 logger = logging.getLogger(__name__)
@@ -114,8 +120,9 @@ class Workspace:
     ``ws[name] = obj`` when it wrote the artifact; otherwise it parses the
     artifact through ``_READERS`` and keeps the result. A reader that
     meets content it cannot use (a ``KeyError``, ``IndexError``,
-    ``TypeError`` or ``ValueError``) raises :class:`DependencyError`
-    naming the artifact. Only artifacts that a stage reads can be stored.
+    ``TypeError`` or ``ValueError``, or bytes that are not UTF-8) raises
+    :class:`DependencyError` naming the artifact. Only artifacts that a
+    stage reads can be stored.
     """
 
     def __init__(self, out: Path) -> None:
@@ -137,7 +144,7 @@ class Workspace:
             reader = _READERS[name]
             try:
                 self._objects[name] = reader(self)
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
+            except (KeyError, IndexError, TypeError, ValueError, EncodingError) as exc:
                 raise DependencyError(
                     f"malformed artifact {self.out / name}: {type(exc).__name__}: {exc}"
                 ) from exc
@@ -211,10 +218,6 @@ _READERS: dict[str, Callable[[Workspace], Any]] = {
         ws.path(A_YEAR_COORDS), ws[A_CA_MODEL].dims
     ),
 }
-
-
-def _write_svg(path: Path, svg: bytes) -> None:
-    artifacts.write_text(path, svg.decode("utf-8"))
 
 
 def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
@@ -384,7 +387,7 @@ def stage_figures(cfg: RunConfig, ws: Workspace | None = None) -> None:
     vocab = ws[A_VOCAB]
     table = stats_mod.term_frequency_table(vocab, cfg.top_terms)
     bars = [(r.term, float(r.frequency)) for r in table.rows]
-    _write_svg(
+    artifacts.write_text(
         out / A_TERM_BARS,
         viz.render_bar_chart(
             bars,
@@ -392,7 +395,7 @@ def stage_figures(cfg: RunConfig, ws: Workspace | None = None) -> None:
         ),
     )
 
-    _write_svg(
+    artifacts.write_text(
         out / A_TYPE_BARS,
         viz.render_bar_chart(
             ws[A_TYPE_SHARES],
@@ -410,7 +413,7 @@ def stage_figures(cfg: RunConfig, ws: Workspace | None = None) -> None:
         series.first_year,
         series.counts[: t["fitted_through"] - series.first_year + 1],
     )
-    _write_svg(
+    artifacts.write_text(
         out / A_TREND,
         viz.render_trend_chart(
             observed,
@@ -420,7 +423,7 @@ def stage_figures(cfg: RunConfig, ws: Workspace | None = None) -> None:
         ),
     )
 
-    _write_svg(
+    artifacts.write_text(
         out / A_CA_MAP,
         viz.render_ca_map(
             ws[A_CA_MODEL],
@@ -432,7 +435,7 @@ def stage_figures(cfg: RunConfig, ws: Workspace | None = None) -> None:
     k = min(cfg.cloud_terms, len(vocab))
     weights = [(term, float(vocab.total_frequency[term])) for term in vocab.terms[:k]]
     layout = viz.layout_word_cloud(weights, seed=cfg.seed)
-    _write_svg(out / A_CLOUD, viz.render_word_cloud(layout))
+    artifacts.write_text(out / A_CLOUD, viz.render_word_cloud(layout))
     viz.write_cloud_layout_tsv(layout, out / A_CLOUD_LAYOUT)
     if layout.dropped:
         logger.warning(

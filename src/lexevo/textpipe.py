@@ -154,7 +154,7 @@ def load_stoplist(path: str | Path) -> frozenset[str]:
     """Read a stoplist file: UTF-8, one term per line, ``#`` comments. Each
     term is normalized like a token, so an NFD entry stops the NFC token."""
     terms: set[str] = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in artifacts.read_text(path).splitlines():
         term = line.strip()
         if term and not term.startswith("#"):
             terms.add(_normalize(term))

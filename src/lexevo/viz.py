@@ -2,10 +2,11 @@
 with its fitted trend curve, word clouds, and the planar correspondence
 map with the year trajectory.
 
-Every renderer is a pure function: identical inputs produce identical
-bytes. There are no clocks and no unseeded randomness, and text extents
-come from a fixed built-in character-width table (Helvetica metrics), so
-output does not depend on the font environment.
+Every renderer is a pure function that returns the SVG document as text:
+identical inputs produce identical text. There are no clocks and no
+unseeded randomness, and text extents come from a fixed built-in
+character-width table (Helvetica metrics), so output does not depend on
+the font environment.
 """
 
 from __future__ import annotations
@@ -72,9 +73,12 @@ def _attr(s: str) -> str:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+#: Width of every chart and of the correspondence map.
+_CHART_WIDTH = 720
+
+
 @dataclass(frozen=True)
 class ChartOptions:
-    width: int = 720
     height: int = 480
     title: str = ""
 
@@ -93,7 +97,7 @@ def _title_elem(options: ChartOptions) -> str:
     if not options.title:
         return ""
     return (
-        f'<text x="{_fmt(options.width / 2)}" y="18" text-anchor="middle" '
+        f'<text x="{_fmt(_CHART_WIDTH / 2)}" y="18" text-anchor="middle" '
         f'font-size="14" font-weight="bold">{escape(options.title)}</text>\n'
     )
 
@@ -219,7 +223,7 @@ def layout_word_cloud(
     return CloudLayout(tuple(placements), tuple(dropped), (cw, ch))
 
 
-def render_word_cloud(layout: CloudLayout) -> bytes:
+def render_word_cloud(layout: CloudLayout) -> str:
     cw, ch = layout.canvas
     parts = [_svg_open(cw, ch)]
     for i, p in enumerate(layout.placements):
@@ -231,7 +235,7 @@ def render_word_cloud(layout: CloudLayout) -> bytes:
             f"{escape(p.term)}</text>\n"
         )
     parts.append("</svg>\n")
-    return "".join(parts).encode("utf-8")
+    return "".join(parts)
 
 
 def write_cloud_layout_tsv(layout: CloudLayout, dest: str | Path) -> None:
@@ -252,7 +256,7 @@ def write_cloud_layout_tsv(layout: CloudLayout, dest: str | Path) -> None:
 def render_bar_chart(
     categories: Sequence[tuple[str, float]],
     options: ChartOptions = ChartOptions(),
-) -> bytes:
+) -> str:
     """Horizontal bar chart; bar lengths are linearly proportional to the
     values (all of which must be finite and non-negative)."""
     if not categories:
@@ -263,7 +267,7 @@ def render_bar_chart(
         if value < 0:
             raise ValidationError(f"negative value for {label!r}: {value}")
 
-    w, h = options.width, options.height
+    w, h = _CHART_WIDTH, options.height
     left, right, top, bottom = 150.0, 60.0, 30.0, 10.0
     plot_w = w - left - right
     plot_h = h - top - bottom
@@ -294,7 +298,7 @@ def render_bar_chart(
         f'y2="{_fmt(top + plot_h)}" stroke="#222" stroke-width="1"/>\n'
     )
     parts.append("</svg>\n")
-    return "".join(parts).encode("utf-8")
+    return "".join(parts)
 
 
 def _short_num(v: float) -> str:
@@ -313,7 +317,7 @@ def render_trend_chart(
     fit: TrendFit,
     horizon: int = 0,
     options: ChartOptions = ChartOptions(),
-) -> bytes:
+) -> str:
     """Observed yearly counts as bars with the fitted quadratic sampled
     yearly on top; ``horizon`` extra years are drawn as visually distinct
     forecast markers carrying exact data-year/data-value attributes."""
@@ -325,7 +329,7 @@ def render_trend_chart(
     all_years = years + forecast_years
     fitted = {y: fit.predict(y) for y in all_years}
 
-    w, h = options.width, options.height
+    w, h = _CHART_WIDTH, options.height
     left, right, top, bottom = 50.0, 20.0, 30.0, 40.0
     plot_w = w - left - right
     plot_h = h - top - bottom
@@ -380,7 +384,7 @@ def render_trend_chart(
         f'stroke="#222" stroke-width="1"/>\n'
     )
     parts.append("</svg>\n")
-    return "".join(parts).encode("utf-8")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +396,7 @@ def render_ca_map(
     model: CaModel,
     supplementary: Sequence[SupplementaryProjection] = (),
     options: ChartOptions = ChartOptions(),
-) -> bytes:
+) -> str:
     """Planar map of dimensions 1-2: column points (terms) and
     supplementary year points joined in chronological order by a trajectory
     of line segments; the extent covers exactly those points. Row points
@@ -402,7 +406,7 @@ def render_ca_map(
         raise DataError(
             f"map needs a model with >= 2 retained dimensions, got {model.dims}"
         )
-    w, h = options.width, options.height
+    w, h = _CHART_WIDTH, options.height
     left, right, top, bottom = 45.0, 15.0, 30.0, 35.0
     plot_w = w - left - right
     plot_h = h - top - bottom
@@ -471,7 +475,7 @@ def render_ca_map(
         parts.append("</g>\n")
 
     parts.append("</svg>\n")
-    return "".join(parts).encode("utf-8")
+    return "".join(parts)
 
 
 def _chronological(

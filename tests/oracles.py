@@ -1,12 +1,12 @@
 """Independent reference implementations used only by the tests.
 
 Everything here deliberately avoids the code paths of the package: the
-correspondence oracle uses a dense eigendecomposition of S^T S instead
-of the SVD of S, the quadratic oracle solves the normal equations
-explicitly instead of calling a fitting routine, counts use
-collections.Counter over raw loops, and the chi-square statistic is an
-explicit double loop. Agreement between the two routes is evidence, not
-tautology.
+correspondence oracle takes the dense SVD of S itself, where the package
+eigendecomposes the Gram matrix of S's shorter side, the quadratic
+oracle solves the normal equations explicitly instead of calling a
+fitting routine, counts use collections.Counter over raw loops, and the
+chi-square statistic is an explicit double loop. Agreement between the
+two routes is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ SV_EPS = 1e-12
 
 
 def ca_eigen_oracle(matrix, col_labels: Sequence[str]) -> dict:
-    """Correspondence analysis via eigendecomposition of S^T S.
+    """Correspondence analysis via the dense SVD of S.
 
     Keeps a dimension whose singular value exceeds ``SV_EPS`` (1e-12), its
     own rule: the library keeps an eigenvalue above max(rows, cols) times
@@ -43,13 +43,9 @@ def ca_eigen_oracle(matrix, col_labels: Sequence[str]) -> dict:
         for j in range(cols):
             s[i, j] = (p[i, j] - a[i] * b[j]) / math.sqrt(a[i] * b[j])
 
-    evals, v = np.linalg.eigh(s.T @ s)
-    order = np.argsort(evals)[::-1]
-    evals, v = evals[order], v[:, order]
-    sv = np.sqrt(np.clip(evals, 0.0, None))
+    u, sv, vt = np.linalg.svd(s, full_matrices=False)
     keep = sv > SV_EPS
-    sv, v = sv[keep], v[:, keep]
-    u = (s @ v) / sv
+    sv, u, v = sv[keep], u[:, keep], vt[keep].T
 
     col_std = v / np.sqrt(b)[:, None]
     for k in range(sv.size):

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import lexevo
 from lexevo import artifacts
-from lexevo.errors import DependencyError
+from lexevo.errors import DependencyError, EncodingError
 
 SRC = Path(lexevo.__file__).parent
 _N = (("n", int),)
@@ -120,6 +121,17 @@ def test_empty_tsv_and_bad_json_are_malformed(tmp_path):
         artifacts.read_json(bad)
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_read_text_drops_a_bom_and_names_a_bad_byte_by_its_offset_in_the_file(tmp_path, bom):
+    path = tmp_path / "notes.txt"
+    path.write_bytes(bom + "caf\u00e9\n".encode("utf-8"))
+    assert artifacts.read_text(path) == "caf\u00e9\n"
+    path.write_bytes(bom + b"ab\xff")
+    message = f"{path} is not valid UTF-8 at byte {len(bom) + 2} (ff): invalid start byte"
+    with pytest.raises(EncodingError, match=f"^{re.escape(message)}$"):
+        artifacts.read_text(path)
+
+
 # --- one writer ----------------------------------------------------------------
 
 _WRITE_METHODS = {"write_text", "write_bytes"}
@@ -187,6 +199,58 @@ def test_guard_detects_writes_and_private_imports(tmp_path):
         encoding="utf-8",
     )
     assert sorted(v.split(" ")[0] for v in _violations(sample)) == [
+        f"sample.py:{n}" for n in (1, 2, 3, 4, 5, 6)
+    ]
+
+
+# --- one decoder ---------------------------------------------------------------
+
+_CODEC_METHODS = {"encode", "decode", "read_text"}
+
+
+def _codec_calls(path: Path) -> list[str]:
+    """Calls that turn bytes into text or text into bytes: ``.encode(``,
+    ``.decode(``, ``TextIOWrapper(``, ``.read_text(`` on anything but
+    ``artifacts``, and any call that passes ``encoding=``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        on_artifacts = isinstance(func, ast.Attribute) and (
+            isinstance(func.value, ast.Name) and func.value.id == "artifacts"
+        )
+        if name == "TextIOWrapper" or (
+            isinstance(func, ast.Attribute) and name in _CODEC_METHODS and not on_artifacts
+        ):
+            found.append(f"{path.name}:{node.lineno} calls {name}(")
+        elif any(kw.arg == "encoding" for kw in node.keywords):
+            found.append(f"{path.name}:{node.lineno} passes encoding=")
+    return found
+
+
+def test_only_the_artifacts_module_encodes_or_decodes_text():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "artifacts.py")
+    assert modules, SRC
+    assert [v for p in modules for v in _codec_calls(p)] == []
+
+
+def test_codec_guard_detects_encoding_and_decoding(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "text = Path(p).read_text()\n"
+        "data = text.encode('utf-8')\n"
+        "text = data.decode()\n"
+        "fh = open(p, encoding='latin-1')\n"
+        "fh = io.TextIOWrapper(buf)\n"
+        "fh = TextIOWrapper(buf)\n"
+        "text = artifacts.read_text(p)\n"
+        "rows = artifacts.text_lines(data, 'input')\n"
+        "raw = Path(p).read_bytes()\n",
+        encoding="utf-8",
+    )
+    assert [v.split(" ")[0] for v in _codec_calls(sample)] == [
         f"sample.py:{n}" for n in (1, 2, 3, 4, 5, 6)
     ]
 

@@ -281,10 +281,8 @@ def test_fit_computes_no_full_eigenvector_matrix(monkeypatch):
     model = compute_ca(_labeled(table), dims=2)
     assert reductions == [(300, 300)]  # the 300-row Gram matrix, reduced once
     assert subsets == [(298, 299)]  # and only its two leading vectors
-    # The oracle squares S, so its rounding noise passes its own 1e-12 rule
-    # as spurious values after the 299 real ones.
     assert model.singular_values.size == 299
-    assert np.allclose(model.singular_values, oracle["singular_values"][:299], atol=1e-9)
+    assert np.allclose(model.singular_values, oracle["singular_values"], atol=1e-9)
     assert np.allclose(model.row_coords_principal, oracle["row_principal"][:, :2], atol=1e-9)
     assert np.allclose(model.col_coords_principal, oracle["col_principal"][:, :2], atol=1e-9)
 

@@ -185,6 +185,44 @@ def test_ingest_of_an_invalid_utf8_export_exits_2(tmp_path, write_mini_config, c
     assert not (out / "corpus.csv").exists()
 
 
+def test_a_config_with_a_byte_order_mark_gives_the_same_artifacts(tmp_path, write_mini_config):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    assert main(["run", "--config", str(write_mini_config(plain))]) == 0
+    config = write_mini_config(marked)
+    config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+    assert main(["run", "--config", str(config)]) == 0
+    assert _artifact_bytes(marked) == _artifact_bytes(plain)
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("culprit", ["config", "stoplist"])
+def test_a_config_or_stoplist_that_is_not_utf8_exits_2_naming_the_file_and_byte(
+    tmp_path, write_mini_config, capsys, culprit, bom
+):
+    stoplist = tmp_path / "stop.txt"
+    stoplist.write_text("registry\n", encoding="utf-8")
+    config = write_mini_config(tmp_path / "out", stoplists=stoplist)
+    path = config if culprit == "config" else stoplist
+    path.write_bytes(bom + b"# caf\xff\n" + path.read_bytes())
+    assert main(["ingest", "--config", str(config)]) == 2
+    assert f"{path} is not valid UTF-8 at byte {len(bom) + 5} (ff)" in capsys.readouterr().err
+
+
+def test_a_corpus_artifact_that_is_not_utf8_is_malformed(tmp_path, write_mini_config, capsys):
+    out = tmp_path / "out"
+    config = write_mini_config(out)
+    assert main(["ingest", "--config", str(config)]) == 0
+    corpus = out / "corpus.csv"
+    raw = bytearray(corpus.read_bytes())
+    bad = raw.index(b"\n") + 1  # the first byte of the first record
+    raw[bad] = 0xFF
+    corpus.write_bytes(bytes(raw))
+    assert main(["stats", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"malformed artifact {corpus}" in err
+    assert f"not valid UTF-8 at byte {bad} (ff)" in err
+
+
 def test_internal_error_exits_3(tmp_path, write_mini_config, monkeypatch):
     out = tmp_path / "out"
     config = write_mini_config(out)

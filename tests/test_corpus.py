@@ -201,21 +201,14 @@ _rows = st.lists(
             "citations": st.one_of(st.integers(-2, 40).map(str), _cells),
         }
     ),
+    min_size=1,  # a row after the filler puts bytes past the first chunk
     max_size=30,
 )
 
 
-@st.composite
-def _exports(draw) -> bytes:
-    """A CSV export larger than one decode chunk, with a multi-byte
-    character or a CRLF that starts 1 to 4 bytes before the end of the
-    first chunk, so that it often straddles the boundary."""
-    columns = draw(st.permutations(_COLUMNS))
-    terminator = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
-    bom = _BOM if draw(st.booleans()) else b""
-    pivot = draw(st.sampled_from(["\u00e9", "\u2014", "\U0001d6fc", "\r\n"]))
-    shift = draw(st.integers(1, 4))  # the pivot starts this many bytes before the boundary
+def _export(columns, terminator, quoting, bom, pivot, shift, rows) -> bytes:
+    """A filler row whose abstract ends in ``pivot``, starting ``shift``
+    bytes before the end of the first chunk, then ``rows``."""
 
     def encode(rows) -> bytes:
         text = io.StringIO()
@@ -227,17 +220,46 @@ def _exports(draw) -> bytes:
     filler = dict(zip(_COLUMNS, ("f", "t", "@" + pivot, "", "2020", "Article", "0")))
     at = encode([filler]).index(b"@")  # the pivot quotes the field or not
     filler["abstract"] = "x" * (_CHUNK - shift - at) + pivot
-    source = encode([filler, *draw(_rows)])
+    source = encode([filler, *rows])
     assert source.index(pivot.encode("utf-8"), _CHUNK - 8) == _CHUNK - shift
     return source
+
+
+@st.composite
+def _exports(draw) -> bytes:
+    """A CSV export larger than one decode chunk, with a multi-byte
+    character or a CRLF that starts 1 to 4 bytes before the end of the
+    first chunk, so that it often straddles the boundary."""
+    return _export(
+        columns=draw(st.permutations(_COLUMNS)),
+        terminator=draw(st.sampled_from(["\n", "\r\n", "\r"])),
+        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+        bom=_BOM if draw(st.booleans()) else b"",
+        pivot=draw(st.sampled_from(["\u00e9", "\u2014", "\U0001d6fc", "\r\n"])),
+        shift=draw(st.integers(1, 4)),  # the pivot starts this many bytes before the boundary
+        rows=draw(_rows),
+    )
+
+
+def _assert_streamed_parse_is_the_whole_text_parse(source: bytes) -> None:
+    assert list(corpus_module._records(source)) == list(_whole_text_records(source))
+    assert parse_bibliographic_csv(source, CANONICAL_SCHEMA) == _whole_text_parse(source)
 
 
 @settings(max_examples=50, deadline=None)
 @given(_exports())
 def test_streamed_decode_parses_like_the_whole_text(source):
     assert len(source) > _CHUNK
-    assert list(corpus_module._records(source)) == list(_whole_text_records(source))
-    assert parse_bibliographic_csv(source, CANONICAL_SCHEMA) == _whole_text_parse(source)
+    _assert_streamed_parse_is_the_whole_text_parse(source)
+
+
+def test_streamed_decode_of_an_export_of_exactly_one_chunk():
+    # The abstract comes last and no row follows the filler, so the export
+    # ends at the chunk boundary, right after a two-byte pivot and the newline.
+    columns = tuple(c for c in _COLUMNS if c != "abstract") + ("abstract",)
+    source = _export(columns, "\n", csv.QUOTE_MINIMAL, b"", "\u00e9", 3, rows=[])
+    assert len(source) == _CHUNK
+    _assert_streamed_parse_is_the_whole_text_parse(source)
 
 
 _HEAD = _csv("a,t,ok,,2020,article,0")

@@ -206,6 +206,12 @@ def test_load_stoplist_skips_comments_and_lowercases(tmp_path):
     assert load_stoplist(path) == frozenset({"the", "of", "and"})
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_stoplist_term(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_bytes(b"\xef\xbb\xbfthe\nof\n")
+    assert load_stoplist(path) == frozenset({"the", "of"})
+
+
 def test_stoplist_entries_are_normalized_like_tokens(tmp_path):
     # A decomposed (NFD) entry must stop the composed token that tokenize
     # makes of the same word, whichever form either side was written in.

@@ -25,7 +25,7 @@ SVG = "{http://www.w3.org/2000/svg}"
 WEIGHTS_30 = [(f"term{i:02d}", float(100 - 3 * i)) for i in range(30)]
 
 
-def _svg_root(data: bytes) -> ET.Element:
+def _svg_root(data: str) -> ET.Element:
     return ET.fromstring(data)  # raises on malformed XML
 
 
@@ -148,7 +148,7 @@ def test_render_word_cloud_is_valid_svg_with_one_text_per_placement():
     assert rendered_terms == {p.term for p in layout.placements}
 
 
-def test_render_word_cloud_bytes_are_deterministic():
+def test_render_word_cloud_text_is_deterministic():
     layout = layout_word_cloud(WEIGHTS_30, seed=9)
     assert render_word_cloud(layout) == render_word_cloud(layout)
 
@@ -158,7 +158,7 @@ def test_svg_escapes_markup_in_terms():
     data = render_word_cloud(layout)
     root = _svg_root(data)
     assert root.find(f"{SVG}text").text == "a<b&c"
-    assert b"a<b&c" not in data  # escaped in the byte stream
+    assert "a<b&c" not in data  # escaped in the text
 
 
 # --- bar chart -------------------------------------------------------------------
@@ -263,8 +263,7 @@ def test_ca_map_draws_terms_years_and_a_chronological_trajectory():
 
 def test_ca_map_axis_labels_carry_inertia_percentages():
     model, _ = _ca_model()
-    data = render_ca_map(model)
-    text = data.decode("utf-8")
+    text = render_ca_map(model)
     assert f"Dim 1 ({model.inertia_shares[0] * 100:.1f}%)" in text
     assert f"Dim 2 ({model.inertia_shares[1] * 100:.1f}%)" in text
 
@@ -291,6 +290,6 @@ def test_no_negative_zero_coordinates_anywhere():
         render_trend_chart(series, fit, 1),
         render_ca_map(model, projections),
     ]:
-        assert b"-0.000" not in data
+        assert "-0.000" not in data
         root = _svg_root(data)
         assert root.get("width") and root.get("height")
