@@ -1,4 +1,4 @@
-"""The one module that reads and writes artifact files: text, TSV and JSON.
+"""The one module that reads and writes artifact files: text, TSV, CSV and JSON.
 
 It is also the one module that turns bytes into text and text into bytes,
 for every file the package reads: the export, the config, stoplists and
@@ -9,14 +9,17 @@ byte. A write goes to a temporary file beside the destination, which
 :func:`os.replace` then moves into place, so a crash never leaves a
 half-written artifact.
 
-A TSV table is typed columns, declared once by the module that owns the
-table as ``(name, type)`` pairs (``str``, ``int`` or ``float``) for both
-:func:`write_tsv` and :func:`read_tsv`. Only this module turns values into
-cells and back: ``str`` of an ``int``, ``repr`` of a ``float`` (the shortest
-text that parses back to the same double), an empty cell for ``None``. A
-header other than the declared names, a row whose cell count differs from
-the header's, a cell that does not parse as its column's type, or JSON that
-does not parse raises :class:`DependencyError` naming the file and line.
+A table is typed columns, declared once by the module that owns the table
+as ``(name, type)`` pairs (``str``, ``int`` or ``float``), and given to a
+writer as one sequence (list, tuple, range or array) per column. Only this
+module turns values into cells and back: ``str`` of an ``int``, ``repr`` of
+a ``float`` (the shortest text that parses back to the same double), an
+empty cell for ``None``. :func:`write_tsv` and :func:`read_tsv` handle the
+TSV artifacts; :func:`write_csv` writes the one CSV artifact, ``corpus.csv``,
+which the export's reader reads back. A header other than the declared
+names, a row whose cell count differs from the header's, a cell that does
+not parse as its column's type, or JSON that does not parse raises
+:class:`DependencyError` naming the file and line.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 from contextlib import contextmanager
-from itertools import count, islice
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Sequence
 
@@ -36,7 +39,7 @@ from .errors import DependencyError, EncodingError
 #: A table's declaration: each column's name and the type of its values.
 Columns = Sequence[tuple[str, type]]
 
-#: Rows that :func:`write_tsv` converts and writes at a time.
+#: Rows that :func:`write_tsv` and :func:`write_csv` convert at a time.
 _BLOCK_ROWS = 8192
 
 
@@ -49,7 +52,7 @@ def read_text(src: str | Path) -> str:
         raise _not_utf8(src, len(data), exc) from None
 
 
-def text_lines(source: bytes, name: str) -> Iterator[str]:
+def text_lines(source: bytes, name: str | Path) -> Iterator[str]:
     """The lines of UTF-8 bytes, decoded as they are read, so the decoded
     text is never held whole. Line endings are kept and not translated,
     as a CSV reader wants; ``name`` names ``source`` in an error."""
@@ -71,7 +74,7 @@ def _not_utf8(name: str | Path, consumed: int, exc: UnicodeDecodeError) -> Encod
 
 
 @contextmanager
-def open_writer(dest: str | Path) -> Iterator[IO[str]]:
+def _open_writer(dest: str | Path) -> Iterator[IO[str]]:
     """A text handle on a temporary file that replaces ``dest`` if the block succeeds."""
     tmp = Path(dest).with_name(f".{Path(dest).name}.{os.getpid()}.tmp")
     try:
@@ -83,41 +86,56 @@ def open_writer(dest: str | Path) -> Iterator[IO[str]]:
 
 
 def write_text(dest: str | Path, text: str) -> None:
-    with open_writer(dest) as fh:
+    with _open_writer(dest) as fh:
         fh.write(text)
 
 
 def write_tsv(
-    dest: str | Path, columns: Columns, values: Sequence[Iterable], *, header: bool = True
+    dest: str | Path, columns: Columns, values: Sequence[Sequence], *, header: bool = True
 ) -> None:
-    """``values`` holds one list, array or generator per declared column, all
-    of one length; the line of column names comes first if ``header``. Rows
-    are converted and written ``_BLOCK_ROWS`` at a time, so no column is ever
-    held as text (or as Python objects) whole."""
-    kinds = [kind for _, kind in columns]
-    sources = [v if isinstance(v, np.ndarray) else iter(v) for v in values]
-    with open_writer(dest) as fh:
+    """``values`` holds one sequence (list, tuple, range or array) per declared
+    column, all of one length, under the line of column names if ``header``."""
+    _write_table(dest, columns, values, "\t", None, header)
+
+
+def write_csv(dest: str | Path, columns: Columns, values: Sequence[Sequence]) -> None:
+    """The table of :func:`write_tsv` as RFC 4180 CSV with a header line: a cell
+    holding ``,``, ``"``, ``\\r`` or ``\\n`` is quoted, its quotes doubled."""
+    _write_table(dest, columns, values, ",", re.compile('[,"\r\n]'), True)
+
+
+def _write_table(
+    dest: str | Path, columns: Columns, values: Sequence[Sequence], sep: str,
+    quoted: re.Pattern | None, header: bool
+) -> None:
+    """Converts ``_BLOCK_ROWS`` rows at a time and writes them one by one, so no
+    column is ever held as text whole; a cell that ``quoted`` matches is quoted."""
+    if len(values) != len(columns) or len({len(v) for v in values}) > 1:
+        raise ValueError(f"{dest}: values are not {len(columns)} columns of one length")
+    with _open_writer(dest) as fh:
         if header:
-            fh.write("\t".join(name for name, _ in columns) + "\n")
-        for start in count(0, _BLOCK_ROWS):
+            fh.write(sep.join(name for name, _ in columns) + "\n")
+        for start in range(0, max(map(len, values), default=0), _BLOCK_ROWS):
             stop = start + _BLOCK_ROWS
-            block = [
-                _to_cells(kind, src[start:stop] if isinstance(src, np.ndarray)
-                          else islice(src, _BLOCK_ROWS))
-                for kind, src in zip(kinds, sources, strict=True)
-            ]
-            lines = ["\t".join(row) + "\n" for row in zip(*block, strict=True)]
-            if not lines:
-                break
-            fh.writelines(lines)
+            block = [_to_cells(kind, v[start:stop]) for (_, kind), v in zip(columns, values)]
+            for row in zip(*block):
+                if quoted is not None:
+                    row = ['"%s"' % c.replace('"', '""') if quoted.search(c) else c for c in row]
+                fh.write(sep.join(row) + "\n")
 
 
-def _to_cells(kind: type, values: Iterable) -> Iterable[str]:
-    """An array's values already have their column's type; others are converted."""
+def _to_cells(kind: type, values: Sequence) -> Iterable[str]:
+    """An array's values already have their column's type, and a numeric
+    array's distinct values (told apart by their bits, so ``-0.0`` is not
+    ``0.0``) are formatted once each; others are converted."""
     to_text = repr if kind is float else str
     if isinstance(values, np.ndarray):
-        values = values.tolist()
-        return values if kind is str else map(to_text, values)
+        if kind is str:
+            return values.tolist()
+        _, first, inverse = np.unique(
+            values.view(f"i{values.itemsize}"), return_index=True, return_inverse=True
+        )
+        return np.array([to_text(v) for v in values[first].tolist()], dtype=object)[inverse]
     return ("" if v is None else to_text(kind(v)) for v in values)
 
 

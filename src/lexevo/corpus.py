@@ -12,7 +12,7 @@ import csv
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import artifacts
 from .errors import DataError, SchemaError
@@ -211,9 +211,10 @@ CANONICAL_SCHEMA = CsvSchema(
 )
 
 
-def _records(source: bytes) -> Iterator[list[str]]:
-    """The CSV records of UTF-8 bytes, decoded as they are read."""
-    return csv.reader(artifacts.text_lines(source, "input"))
+def _records(source: bytes, name: str | Path) -> Iterator[list[str]]:
+    """The CSV records of UTF-8 bytes, decoded as they are read; ``name``
+    names ``source`` in an encoding error."""
+    return csv.reader(artifacts.text_lines(source, name))
 
 
 def parse_bibliographic_csv(
@@ -237,11 +238,17 @@ def parse_bibliographic_csv(
     The returned provenance has ``loaded == retained`` and zero exclusions:
     filtering is a separate, explicit step (:func:`filter_corpus`).
     """
-    reader = _records(source)
+    return _parse(source, "input", schema, year_window)
+
+
+def _parse(
+    source: bytes, name: str | Path, schema: CsvSchema, year_window: tuple[int, int]
+) -> Corpus:
+    reader = _records(source, name)
     try:
         header = next(reader)
     except StopIteration:
-        raise SchemaError("input has no header row") from None
+        raise SchemaError(f"{name} has no header row") from None
 
     col_index: dict[str, int] = {}
     for logical, column in schema.mapped_columns():
@@ -332,8 +339,9 @@ def load_corpus_csv(
     *,
     year_window: tuple[int, int] = DEFAULT_YEAR_WINDOW,
 ) -> Corpus:
-    """Parse a CSV file from disk (convenience wrapper)."""
-    return parse_bibliographic_csv(Path(path).read_bytes(), schema, year_window=year_window)
+    """Parse a CSV file from disk, as :func:`parse_bibliographic_csv` does;
+    an encoding error names ``path``."""
+    return _parse(Path(path).read_bytes(), path, schema, year_window)
 
 
 def filter_corpus(
@@ -362,41 +370,30 @@ def filter_corpus(
     return replace(corpus, documents=tuple(survivors), provenance=report)
 
 
-class _LfLines:
-    """The target of a ``csv.writer`` whose ``\\r\\n`` line terminator makes it
-    quote every field holding ``\\r`` or ``\\n``: it ends each line with
-    ``\\n`` instead."""
-
-    def __init__(self, fh: IO[str]) -> None:
-        self._fh = fh
-
-    def write(self, line: str) -> int:
-        return self._fh.write(line[:-2] + "\n")
+#: The columns of ``corpus.csv``, in the field order of :data:`CANONICAL_SCHEMA`.
+_CORPUS_COLUMNS = [
+    (column, int if field in ("year", "citations") else str)
+    for field, column in CANONICAL_SCHEMA.mapped_columns()
+]
 
 
 def write_corpus_csv(corpus: Corpus, dest: str | Path) -> None:
-    """Canonical writer: RFC 4180, UTF-8, the columns of
-    :data:`CANONICAL_SCHEMA` in its field order, ``\\n`` line endings,
-    minimal quoting (a field holding ``\\r`` or ``\\n`` is quoted). Keywords
-    joined with ``"; "``.
+    """Canonical writer: :func:`artifacts.write_csv` of the columns of
+    :data:`CANONICAL_SCHEMA` in its field order, keywords joined with ``"; "``.
 
     parse -> write -> parse round-trips to field-identical documents.
     """
-    columns = CANONICAL_SCHEMA.mapped_columns()
-    with artifacts.open_writer(dest) as fh:
-        writer = csv.writer(_LfLines(fh), lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
-        writer.writerow([col for _, col in columns])
-        for doc in corpus.documents:
-            values = {
-                "id": doc.id,
-                "title": doc.title,
-                "abstract": doc.abstract,
-                "keywords": "; ".join(doc.keywords),
-                "year": doc.year,
-                "doc_type": doc.doc_type.value,
-                "citations": doc.citations,
-            }
-            writer.writerow([values[logical] for logical, _ in columns])
+    docs = corpus.documents
+    values = [
+        [d.id for d in docs],
+        [d.title for d in docs],
+        [d.abstract for d in docs],
+        ["; ".join(d.keywords) for d in docs],
+        [d.year for d in docs],
+        [d.doc_type.value for d in docs],
+        [d.citations for d in docs],
+    ]
+    artifacts.write_csv(dest, _CORPUS_COLUMNS, values)
 
 
 def write_rejects_report(rejects: Sequence[RejectedRow], dest: str | Path) -> None:

@@ -503,8 +503,8 @@ def run_pipeline(cfg: RunConfig) -> Path:
         "documents": ws[A_STATS]["documents"],
         "vocabulary_size": ws[A_STATS]["vocabulary_size"],
         "dims": model.dims,
-        "singular_values": model.singular_values.tolist(),
-        "inertia_shares": model.inertia_shares.tolist(),
+        "singular_values": model.singular_values[:model.dims].tolist(),
+        "inertia_shares": model.inertia_shares[:model.dims].tolist(),
     }
     artifacts.write_json(out / A_MANIFEST, manifest)
     return out

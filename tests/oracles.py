@@ -4,16 +4,19 @@ Everything here deliberately avoids the code paths of the package: the
 correspondence oracle takes the dense SVD of S itself, where the package
 eigendecomposes the Gram matrix of S's shorter side, the quadratic
 oracle solves the normal equations explicitly instead of calling a
-fitting routine, counts use collections.Counter over raw loops, and the
-chi-square statistic is an explicit double loop. Agreement between the
-two routes is evidence, not tautology.
+fitting routine, counts use collections.Counter over raw loops, the
+chi-square statistic is an explicit double loop, and ``corpus.csv`` is
+written by the standard library's ``csv.writer``, where the package quotes
+cells itself. Agreement between the two routes is evidence, not tautology.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections import Counter
-from typing import Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -155,3 +158,27 @@ def random_contingency(rng: np.random.Generator) -> np.ndarray:
         if np.any(np.abs(gaps) < 1e-5 * sv[0]):
             continue
         return m
+
+
+class _LfLines:
+    """The target of a ``csv.writer`` whose ``\\r\\n`` line terminator makes it
+    quote every field holding ``\\r`` or ``\\n``: it ends each line with
+    ``\\n`` instead."""
+
+    def __init__(self, fh: IO[str]) -> None:
+        self._fh = fh
+
+    def write(self, line: str) -> int:
+        return self._fh.write(line[:-2] + "\n")
+
+
+def corpus_csv_oracle(documents) -> bytes:
+    """The bytes of ``corpus.csv`` for ``documents``, as ``csv.writer`` with
+    minimal quoting writes them, with ``\\n`` line endings."""
+    text = io.StringIO()
+    writer = csv.writer(_LfLines(text), lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(["id", "title", "abstract", "keywords", "year", "doc_type", "citations"])
+    for doc in documents:
+        writer.writerow([doc.id, doc.title, doc.abstract, "; ".join(doc.keywords), doc.year,
+                         doc.doc_type.value, doc.citations])
+    return text.getvalue().encode("utf-8")

@@ -25,12 +25,10 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
     artifacts.write_tsv(path, _N, [[1, 2]])
     before = path.read_bytes()
 
-    def values():
-        yield 3
-        raise RuntimeError("producer failed")
-
-    with pytest.raises(RuntimeError, match="producer failed"):
-        artifacts.write_tsv(path, _N, [values()])
+    # The first block is written before the second one's "x" fails to convert.
+    values = [3] * artifacts._BLOCK_ROWS + ["x"]
+    with pytest.raises(ValueError, match="'x'"):
+        artifacts.write_tsv(path, _N, [values])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
 
@@ -52,7 +50,7 @@ def test_table_longer_than_one_block_is_written_row_by_row(tmp_path):
     flags = [None if i % 3 else i for i in range(n)]
     columns = (*_TYPED, ("flag", int))
     path = tmp_path / "long.tsv"
-    artifacts.write_tsv(path, columns, [labels, (i * i for i in range(n)), values, flags])
+    artifacts.write_tsv(path, columns, [labels, [i * i for i in range(n)], values, flags])
     expected = "label\tcount\tvalue\tflag\n" + "".join(
         f"t{i}\t{i * i}\t{values[i].item()!r}\t{'' if i % 3 else i}\n" for i in range(n)
     )
@@ -61,6 +59,41 @@ def test_table_longer_than_one_block_is_written_row_by_row(tmp_path):
     with pytest.raises(ValueError):
         artifacts.write_tsv(path, _TYPED, [labels, range(n), values[:-1]])
     assert path.read_bytes() == expected.encode("utf-8")
+
+def test_each_distinct_number_of_an_array_is_formatted_as_itself(tmp_path):
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    specials = [0.0, -0.0, np.nan, -np.nan, nan_payload, np.inf, -np.inf, 5e-324, 1e16, 0.1 + 0.2]
+    n = 2 * artifacts._BLOCK_ROWS + 3
+    floats = np.resize(np.array(specials), n)  # repeats on both sides of each block boundary
+    ints = np.resize(np.array([0, -1, 2**62, 7]), n)
+    path = tmp_path / "numbers.tsv"
+    artifacts.write_tsv(path, (("x", float), ("k", int)), [floats, ints])
+    expected = ["x\tk"] + [f"{float(x)!r}\t{int(k)}" for x, k in zip(floats, ints)]
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines.pop() == ""
+    assert [(i, a, b) for i, (a, b) in enumerate(zip(lines, expected)) if a != b] == []
+    assert len(lines) == len(expected)
+    assert {"0.0", "-0.0", "nan", "5e-324", "1e+16", "0.30000000000000004"} <= {
+        line.split("\t")[0] for line in lines
+    }
+
+
+@pytest.mark.parametrize("write", [artifacts.write_tsv, artifacts.write_csv])
+def test_a_column_of_empty_strings_writes_one_line_break_per_row(tmp_path, write):
+    path = tmp_path / "empty"
+    write(path, (("note", str),), [["", "", ""]])
+    assert path.read_bytes() == b"note\n\n\n\n"
+
+
+def test_csv_cells_are_quoted_only_when_they_hold_a_separator_quote_or_line_break(tmp_path):
+    path = tmp_path / "table.csv"
+    cells = ["plain", "a,b", 'say "hi"', "cr\rlf", "two\nlines", "tab\tand \u2028", ""]
+    artifacts.write_csv(path, (("text", str), ("n", int)), [cells, range(len(cells))])
+    assert path.read_bytes().decode("utf-8") == (
+        'text,n\nplain,0\n"a,b",1\n"say ""hi""",2\n"cr\rlf",3\n"two\nlines",4\n'
+        "tab\tand \u2028,5\n,6\n"
+    )
+
 
 @pytest.mark.parametrize(
     "text, line, cells",

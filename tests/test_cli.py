@@ -49,6 +49,17 @@ def test_run_writes_every_artifact(tmp_path, write_mini_config):
     assert len(manifest["input_sha256"]) == 64
 
 
+def test_manifest_summary_holds_only_the_retained_dimensions(tmp_path, write_mini_config):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_mini_config(out))]) == 0
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    model = json.loads((out / "ca_model.json").read_text())
+    dims = summary["dims"]
+    assert dims == model["dims"] < len(model["singular_values"])
+    assert summary["singular_values"] == model["singular_values"][:dims]
+    assert summary["inertia_shares"] == model["inertia_shares"][:dims]
+
+
 def test_staged_run_equals_full_run(tmp_path, write_mini_config):
     full = tmp_path / "full"
     staged = tmp_path / "staged"
@@ -181,7 +192,7 @@ def test_ingest_of_an_invalid_utf8_export_exits_2(tmp_path, write_mini_config, c
     source.write_bytes(bytes(raw))
     out = tmp_path / "out"
     assert main(["ingest", "--config", str(write_mini_config(out, source=source))]) == 2
-    assert f"not valid UTF-8 at byte {bad} (ff)" in capsys.readouterr().err
+    assert f"{source} is not valid UTF-8 at byte {bad} (ff)" in capsys.readouterr().err
     assert not (out / "corpus.csv").exists()
 
 

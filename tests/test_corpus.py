@@ -2,6 +2,7 @@ import csv
 import io
 import tracemalloc
 
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -168,8 +169,9 @@ _BOM = b"\xef\xbb\xbf"
 _COLUMNS = ("id", "title", "abstract", "keywords", "year", "doc_type", "citations")
 
 
-def _whole_text_records(source: bytes):
-    """The oracle: decode the whole export, then split it into records."""
+def _whole_text_records(source: bytes, name: str = "input"):
+    """The oracle: decode the whole export, then split it into records.
+    ``name`` is unused: the oracle's decode error names no file."""
     return csv.reader(io.StringIO(source.decode("utf-8-sig"), newline=""))
 
 
@@ -242,7 +244,7 @@ def _exports(draw) -> bytes:
 
 
 def _assert_streamed_parse_is_the_whole_text_parse(source: bytes) -> None:
-    assert list(corpus_module._records(source)) == list(_whole_text_records(source))
+    assert list(corpus_module._records(source, "input")) == list(_whole_text_records(source))
     assert parse_bibliographic_csv(source, CANONICAL_SCHEMA) == _whole_text_parse(source)
 
 
@@ -417,6 +419,53 @@ def test_write_corpus_is_deterministic(tmp_path):
     write_corpus_csv(corpus, b)
     assert a.read_bytes() == b.read_bytes()
     assert b"\r" not in a.read_bytes()
+
+
+_documents = st.lists(
+    st.builds(
+        Document,
+        id=_cells,
+        title=_cells,
+        abstract=_cells,
+        keywords=st.lists(_cells, max_size=3).map(tuple),
+        year=st.integers(1900, 2100),
+        doc_type=st.sampled_from(DocType),
+        citations=st.integers(0, 10**6),
+    ),
+    max_size=6,
+    unique_by=lambda d: d.id,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=_documents)
+def test_corpus_csv_is_what_the_csv_module_writes_and_round_trips(tmp_path_factory, docs):
+    path = tmp_path_factory.mktemp("csv") / "corpus.csv"
+    write_corpus_csv(_corpus(docs), path)
+    assert path.read_bytes() == oracles.corpus_csv_oracle(docs)
+    parsed = parse_bibliographic_csv(path.read_bytes(), CANONICAL_SCHEMA)
+    write_corpus_csv(parsed, path)
+    assert path.read_bytes() == oracles.corpus_csv_oracle(parsed.documents)
+    assert parse_bibliographic_csv(path.read_bytes(), CANONICAL_SCHEMA).documents == parsed.documents
+
+
+def test_write_corpus_peak_memory_stays_far_below_the_file(tmp_path):
+    # Each abstract holds a comma, so every row has a quoted cell.
+    docs = [
+        _doc(i, abstract=f"Abstract {i}: {'the lexical evolution of a field, ' * 36}")
+        for i in range(3600)
+    ]
+    corpus = _corpus(docs)
+    path = tmp_path / "corpus.csv"
+    tracemalloc.start()
+    try:
+        write_corpus_csv(corpus, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 4_000_000
+    assert peak < size / 4
 
 
 def test_rejects_report_format(tmp_path):
