@@ -225,6 +225,8 @@ def load_config(path: str | Path) -> RunConfig:
         text = artifacts.read_text(p)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {p}") from None
+    except OSError as exc:
+        raise ConfigError(f"config file not readable: {p} ({exc.strerror})") from None
     cfg = parse_config_text(text, base_dir=p.parent)
     cfg.check_paths()
     return cfg

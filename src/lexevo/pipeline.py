@@ -35,7 +35,7 @@ import logging
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, get_type_hints
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .corpus import (
     write_rejects_report,
 )
 from .errors import (
+    ConfigError,
     DegenerateCorpusError,
     DependencyError,
     EncodingError,
@@ -144,7 +145,9 @@ class Workspace:
             reader = _READERS[name]
             try:
                 self._objects[name] = reader(self)
-            except (KeyError, IndexError, TypeError, ValueError, EncodingError) as exc:
+            except EncodingError as exc:  # its message already names the file
+                raise DependencyError(f"malformed artifact {exc}") from exc
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise DependencyError(
                     f"malformed artifact {self.out / name}: {type(exc).__name__}: {exc}"
                 ) from exc
@@ -157,7 +160,10 @@ class Workspace:
 
 
 def _workspace(cfg: RunConfig, ws: Workspace | None) -> Workspace:
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"out is not a directory: {cfg.out} ({exc.strerror})") from None
     return Workspace(cfg.out) if ws is None else ws
 
 
@@ -184,18 +190,14 @@ def _read_yearly(ws: Workspace) -> stats_mod.YearlyCounts:
     return stats_mod.YearlyCounts(years[0], tuple(counts))
 
 
-#: The stats.json trend fields that stage_figures reads, with their types.
-_TREND_FIELDS = {
-    "c2": float, "c1": float, "c0": float, "r_squared": float | None,
-    "first_year": int, "fitted_through": int,
-}
-
-
 def _read_stats(ws: Workspace) -> dict:
+    """The trend block holds TrendFit's fields and the last year fitted."""
     stats = artifacts.read_json(ws.path(A_STATS))
-    for field, kind in _TREND_FIELDS.items():
+    for field, kind in {**get_type_hints(stats_mod.TrendFit), "fitted_through": int}.items():
         if not isinstance(stats["trend"][field], kind):
             raise TypeError(f"trend field {field!r} is {stats['trend'][field]!r}")
+    if not isinstance(stats["forecasts"], list):
+        raise TypeError(f"forecasts is {stats['forecasts']!r}")
     return stats
 
 
@@ -208,6 +210,10 @@ _READERS: dict[str, Callable[[Workspace], Any]] = {
     A_VOCAB: lambda ws: textpipe.read_vocabulary_tsv(ws.path(A_VOCAB)),
     A_DTM: _read_dtm,
     A_TOKEN_REPORT: lambda ws: artifacts.read_json(ws.path(A_TOKEN_REPORT)),
+    A_TERM_FREQS: lambda ws: tuple(map(
+        stats_mod.TermFrequencyRow,
+        *artifacts.read_tsv(ws.path(A_TERM_FREQS), stats_mod.TERM_FREQUENCY_COLUMNS),
+    )),
     A_YEARLY: _read_yearly,
     A_TYPE_SHARES: lambda ws: list(
         zip(*artifacts.read_tsv(ws.path(A_TYPE_SHARES), stats_mod.TYPE_SHARES_COLUMNS))
@@ -289,6 +295,7 @@ def stage_stats(cfg: RunConfig, ws: Workspace | None = None) -> None:
 
     table = stats_mod.term_frequency_table(vocab, cfg.top_terms)
     stats_mod.write_term_table_tsv(table, out / A_TERM_FREQS)
+    ws[A_TERM_FREQS] = table.rows
     series = stats_mod.publications_per_year(corpus)
     stats_mod.write_yearly_counts_tsv(series, out / A_YEARLY)
     ws[A_YEARLY] = series
@@ -309,14 +316,7 @@ def stage_stats(cfg: RunConfig, ws: Workspace | None = None) -> None:
         "vocabulary_size": len(vocab),
         "top_terms_share": table.selected_share,
         "uniqueness": uniqueness,
-        "trend": {
-            "c2": fit.c2,
-            "c1": fit.c1,
-            "c0": fit.c0,
-            "r_squared": fit.r_squared,
-            "first_year": fit.first_year,
-            "fitted_through": last_fitted,
-        },
+        "trend": {**dataclasses.asdict(fit), "fitted_through": last_fitted},
         "forecasts": forecasts,
     }
     artifacts.write_json(out / A_STATS, ws[A_STATS])
@@ -380,18 +380,17 @@ def stage_periods(cfg: RunConfig, ws: Workspace | None = None) -> None:
 
 
 def stage_figures(cfg: RunConfig, ws: Workspace | None = None) -> None:
-    """Render every SVG from the tabular artifacts."""
+    """Render every SVG from the tabular artifacts: the term bars, trend
+    and forecasts draw what ``lexevo stats`` wrote."""
     ws = _workspace(cfg, ws)
     out = ws.out
 
-    vocab = ws[A_VOCAB]
-    table = stats_mod.term_frequency_table(vocab, cfg.top_terms)
-    bars = [(r.term, float(r.frequency)) for r in table.rows]
+    bars = [(r.term, float(r.frequency)) for r in ws[A_TERM_FREQS]]
     artifacts.write_text(
         out / A_TERM_BARS,
         viz.render_bar_chart(
             bars,
-            viz.ChartOptions(title="Most frequent terms", height=max(240, 18 * len(bars) + 60)),
+            title="Most frequent terms",
         ),
     )
 
@@ -399,16 +398,14 @@ def stage_figures(cfg: RunConfig, ws: Workspace | None = None) -> None:
         out / A_TYPE_BARS,
         viz.render_bar_chart(
             ws[A_TYPE_SHARES],
-            viz.ChartOptions(title="Document types", height=240),
+            title="Document types",
         ),
     )
 
-    t = ws[A_STATS]["trend"]
+    stats = ws[A_STATS]
+    t = stats["trend"]
     series = ws[A_YEARLY]
-    fit = stats_mod.TrendFit(
-        c2=t["c2"], c1=t["c1"], c0=t["c0"],
-        r_squared=t["r_squared"], first_year=t["first_year"],
-    )
+    fit = stats_mod.TrendFit(**{field: t[field] for field in get_type_hints(stats_mod.TrendFit)})
     observed = stats_mod.YearlyCounts(
         series.first_year,
         series.counts[: t["fitted_through"] - series.first_year + 1],
@@ -418,8 +415,8 @@ def stage_figures(cfg: RunConfig, ws: Workspace | None = None) -> None:
         viz.render_trend_chart(
             observed,
             fit,
-            cfg.trend_horizon,
-            viz.ChartOptions(title="Publications per year"),
+            len(stats["forecasts"]),
+            title="Publications per year",
         ),
     )
 
@@ -428,12 +425,12 @@ def stage_figures(cfg: RunConfig, ws: Workspace | None = None) -> None:
         viz.render_ca_map(
             ws[A_CA_MODEL],
             ws[A_YEAR_COORDS],
-            viz.ChartOptions(title="Term map with year trajectory"),
+            title="Term map with year trajectory",
         ),
     )
 
-    k = min(cfg.cloud_terms, len(vocab))
-    weights = [(term, float(vocab.total_frequency[term])) for term in vocab.terms[:k]]
+    cloud = stats_mod.term_frequency_table(ws[A_VOCAB], cfg.cloud_terms)
+    weights = [(r.term, float(r.frequency)) for r in cloud.rows]
     layout = viz.layout_word_cloud(weights, seed=cfg.seed)
     artifacts.write_text(out / A_CLOUD, viz.render_word_cloud(layout))
     viz.write_cloud_layout_tsv(layout, out / A_CLOUD_LAYOUT)

@@ -91,11 +91,13 @@ class TermFrequencyTable:
 def term_frequency_table(vocab: Vocabulary, top_k: int) -> TermFrequencyTable:
     """Top ``top_k`` terms by total frequency (ties lexicographic, which is
     the vocabulary's own ordering). ``selected_share`` is the selected
-    frequency mass over the whole vocabulary mass."""
+    frequency mass over the whole vocabulary mass, which must be positive."""
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")
     chosen = vocab.terms[: min(top_k, len(vocab))]
     total = sum(vocab.total_frequency.values())
+    if total == 0:
+        raise ValidationError("vocabulary has no occurrences")
     rows = tuple(
         TermFrequencyRow(t, vocab.total_frequency[t], vocab.total_frequency[t] / total)
         for t in chosen
@@ -162,7 +164,8 @@ def predict_trend(fit: TrendFit, year: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-#: The columns of the two tables that ``lexevo figures`` reads back.
+#: The columns of the three tables that ``lexevo figures`` reads back.
+TERM_FREQUENCY_COLUMNS = (("term", str), ("frequency", int), ("share", float))
 YEARLY_COUNTS_COLUMNS = (("year", int), ("count", int))
 TYPE_SHARES_COLUMNS = (("doc_type", str), ("share", float))
 
@@ -170,7 +173,7 @@ TYPE_SHARES_COLUMNS = (("doc_type", str), ("share", float))
 def write_term_table_tsv(table: TermFrequencyTable, dest: str | Path) -> None:
     rows = table.rows
     values = [[r.term for r in rows], [r.frequency for r in rows], [r.share for r in rows]]
-    artifacts.write_tsv(dest, (("term", str), ("frequency", int), ("share", float)), values)
+    artifacts.write_tsv(dest, TERM_FREQUENCY_COLUMNS, values)
 
 
 def write_yearly_counts_tsv(series: YearlyCounts, dest: str | Path) -> None:

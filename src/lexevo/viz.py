@@ -24,7 +24,6 @@ from .errors import DataError, LayoutError, ValidationError
 from .stats import TrendFit, YearlyCounts
 
 __all__ = [
-    "ChartOptions",
     "Placement",
     "CloudLayout",
     "layout_word_cloud",
@@ -73,14 +72,10 @@ def _attr(s: str) -> str:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-#: Width of every chart and of the correspondence map.
+#: Width of every chart and of the correspondence map, and the height of
+#: the trend chart and the map; a bar chart's height follows its bar count.
 _CHART_WIDTH = 720
-
-
-@dataclass(frozen=True)
-class ChartOptions:
-    height: int = 480
-    title: str = ""
+_CHART_HEIGHT = 480
 
 
 def _svg_open(width: float, height: float) -> str:
@@ -93,12 +88,12 @@ def _svg_open(width: float, height: float) -> str:
     )
 
 
-def _title_elem(options: ChartOptions) -> str:
-    if not options.title:
+def _title_elem(title: str) -> str:
+    if not title:
         return ""
     return (
         f'<text x="{_fmt(_CHART_WIDTH / 2)}" y="18" text-anchor="middle" '
-        f'font-size="14" font-weight="bold">{escape(options.title)}</text>\n'
+        f'font-size="14" font-weight="bold">{escape(title)}</text>\n'
     )
 
 
@@ -255,10 +250,11 @@ def write_cloud_layout_tsv(layout: CloudLayout, dest: str | Path) -> None:
 
 def render_bar_chart(
     categories: Sequence[tuple[str, float]],
-    options: ChartOptions = ChartOptions(),
+    title: str = "",
 ) -> str:
-    """Horizontal bar chart; bar lengths are linearly proportional to the
-    values (all of which must be finite and non-negative)."""
+    """Horizontal bar chart, max(240, 18 n + 60) high for n bars; bar
+    lengths are linearly proportional to the values (all of which must be
+    finite and non-negative)."""
     if not categories:
         raise ValidationError("bar chart needs at least one category")
     for label, value in categories:
@@ -267,7 +263,7 @@ def render_bar_chart(
         if value < 0:
             raise ValidationError(f"negative value for {label!r}: {value}")
 
-    w, h = _CHART_WIDTH, options.height
+    w, h = _CHART_WIDTH, max(240, 18 * len(categories) + 60)
     left, right, top, bottom = 150.0, 60.0, 30.0, 10.0
     plot_w = w - left - right
     plot_h = h - top - bottom
@@ -276,7 +272,7 @@ def render_bar_chart(
     slot = plot_h / n
     bar_h = slot * 0.72
 
-    parts = [_svg_open(w, h), _title_elem(options)]
+    parts = [_svg_open(w, h), _title_elem(title)]
     for i, (label, value) in enumerate(categories):
         y = top + i * slot + (slot - bar_h) / 2.0
         bw = value / vmax * plot_w
@@ -316,7 +312,7 @@ def render_trend_chart(
     series: YearlyCounts,
     fit: TrendFit,
     horizon: int = 0,
-    options: ChartOptions = ChartOptions(),
+    title: str = "",
 ) -> str:
     """Observed yearly counts as bars with the fitted quadratic sampled
     yearly on top; ``horizon`` extra years are drawn as visually distinct
@@ -329,7 +325,7 @@ def render_trend_chart(
     all_years = years + forecast_years
     fitted = {y: fit.predict(y) for y in all_years}
 
-    w, h = _CHART_WIDTH, options.height
+    w, h = _CHART_WIDTH, _CHART_HEIGHT
     left, right, top, bottom = 50.0, 20.0, 30.0, 40.0
     plot_w = w - left - right
     plot_h = h - top - bottom
@@ -348,7 +344,7 @@ def render_trend_chart(
         clamped = min(max(value, 0.0), vmax)
         return top + plot_h * (1.0 - clamped / vmax)
 
-    parts = [_svg_open(w, h), _title_elem(options)]
+    parts = [_svg_open(w, h), _title_elem(title)]
     for year, count in zip(series.years, series.counts):
         x = x_of(year) - bar_w / 2.0
         parts.append(
@@ -395,7 +391,7 @@ def render_trend_chart(
 def render_ca_map(
     model: CaModel,
     supplementary: Sequence[SupplementaryProjection] = (),
-    options: ChartOptions = ChartOptions(),
+    title: str = "",
 ) -> str:
     """Planar map of dimensions 1-2: column points (terms) and
     supplementary year points joined in chronological order by a trajectory
@@ -406,7 +402,7 @@ def render_ca_map(
         raise DataError(
             f"map needs a model with >= 2 retained dimensions, got {model.dims}"
         )
-    w, h = _CHART_WIDTH, options.height
+    w, h = _CHART_WIDTH, _CHART_HEIGHT
     left, right, top, bottom = 45.0, 15.0, 30.0, 35.0
     plot_w = w - left - right
     plot_h = h - top - bottom
@@ -429,7 +425,7 @@ def render_ca_map(
     def sy(v: float) -> float:
         return top + ((y_hi - v) / y_span * (1 - 2 * pad) + pad) * plot_h
 
-    parts = [_svg_open(w, h), _title_elem(options)]
+    parts = [_svg_open(w, h), _title_elem(title)]
     share = model.inertia_shares
     parts.append(
         f'<text x="{_fmt(left + plot_w / 2)}" y="{_fmt(h - 8)}" '

@@ -70,6 +70,22 @@ def test_staged_run_equals_full_run(tmp_path, write_mini_config):
     assert _artifact_bytes(full) == _artifact_bytes(staged)
 
 
+def test_figures_draws_the_term_table_and_forecasts_that_stats_wrote(tmp_path, write_mini_config):
+    full, staged = tmp_path / "full", tmp_path / "staged"
+    assert main(["run", "--config", str(write_mini_config(full))]) == 0
+    config = write_mini_config(staged)
+    for stage in ALL_STAGES[:-1]:
+        assert main([stage, "--config", str(config)]) == 0
+    text = config.read_text(encoding="utf-8")
+    assert "top_terms = 15\n" in text and "trend_horizon = 2\n" in text
+    mixed = tmp_path / "mixed.conf"
+    text = text.replace("top_terms = 15", "top_terms = 5")
+    mixed.write_text(text.replace("trend_horizon = 2", "trend_horizon = 4"), encoding="utf-8")
+    assert main(["figures", "--config", str(mixed)]) == 0
+    for name in ("term_bars.svg", "trend.svg"):
+        assert (staged / name).read_bytes() == (full / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("weighting", ["relative-frequency", "tf-idf", "entropy"])
 def test_weighted_ca_input_is_the_ca_of_the_weighted_dtm(
     tmp_path, write_mini_config, mini_dtm, weighting
@@ -174,6 +190,25 @@ def test_bad_config_exits_1(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.conf")]) == 1
 
 
+def test_a_config_path_that_is_a_directory_exits_1(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path)]) == 1
+    assert f"config file not readable: {tmp_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [("run", "a_file"), ("ingest", "a_file"), ("run", "a_file/out")],
+    ids=["run", "stage", "under-a-file"],
+)
+def test_an_out_that_is_not_a_directory_exits_1_naming_it(
+    tmp_path, write_mini_config, capsys, command, out
+):
+    (tmp_path / "a_file").write_text("", encoding="utf-8")
+    config = write_mini_config(tmp_path / out)
+    assert main([command, "--config", str(config)]) == 1
+    assert f"out is not a directory: {tmp_path / out}" in capsys.readouterr().err
+
+
 def test_data_error_exits_2(tmp_path, write_mini_config):
     out = tmp_path / "out"
     config = write_mini_config(out)
@@ -230,8 +265,8 @@ def test_a_corpus_artifact_that_is_not_utf8_is_malformed(tmp_path, write_mini_co
     corpus.write_bytes(bytes(raw))
     assert main(["stats", "--config", str(config)]) == 1
     err = capsys.readouterr().err
-    assert f"malformed artifact {corpus}" in err
-    assert f"not valid UTF-8 at byte {bad} (ff)" in err
+    assert f"malformed artifact {corpus} is not valid UTF-8 at byte {bad} (ff)" in err
+    assert err.count(str(corpus)) == 1
 
 
 def test_internal_error_exits_3(tmp_path, write_mini_config, monkeypatch):
@@ -310,6 +345,7 @@ def _non_numeric(column: str):
         ("dtm.tsv", "periods", _write_fractional_count),
         ("vocabulary.tsv", "stats", _non_numeric("total_frequency")),
         ("type_shares.tsv", "figures", _non_numeric("share")),
+        ("term_frequencies.tsv", "figures", _non_numeric("frequency")),
         ("ca_coords.tsv", "figures", _non_numeric("mass")),
         ("year_coords.tsv", "figures", _non_numeric("dim2")),
     ],
@@ -334,6 +370,21 @@ def _drop_trend_c2(path: Path) -> None:
     path.write_text(json.dumps(stats_json), encoding="utf-8")
 
 
+def _set_stats_field(*keys: str, value):
+    """A corruption that sets stats.json's ``keys`` path to ``value``."""
+
+    def corrupt(path: Path) -> None:
+        stats_json = json.loads(path.read_text(encoding="utf-8"))
+        node = stats_json
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path.write_text(json.dumps(stats_json), encoding="utf-8")
+
+    corrupt.__name__ = f"_set_{'_'.join(keys)}"
+    return corrupt
+
+
 def _drop_dims(path: Path) -> None:
     model = json.loads(path.read_text(encoding="utf-8"))
     del model["dims"]
@@ -348,6 +399,8 @@ def _keep_header_only(path: Path) -> None:
     "artifact, corrupt",
     [
         ("stats.json", _drop_trend_c2),
+        ("stats.json", _set_stats_field("trend", "r_squared", value="high")),
+        ("stats.json", _set_stats_field("forecasts", value={"year": 2023})),
         ("ca_model.json", _drop_dims),
         ("yearly_counts.tsv", _keep_header_only),
     ],
@@ -362,6 +415,17 @@ def test_artifact_missing_what_figures_reads_exits_1_naming_it(
     capsys.readouterr()
     assert main(["figures", "--config", str(config)]) == 1
     assert f"malformed artifact {out / artifact}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["stats", "figures"])
+def test_a_vocabulary_without_rows_exits_1(tmp_path, write_mini_config, capsys, stage):
+    out = tmp_path / "out"
+    config = write_mini_config(out)
+    assert main(["run", "--config", str(config)]) == 0
+    _keep_header_only(out / "vocabulary.tsv")
+    capsys.readouterr()
+    assert main([stage, "--config", str(config)]) == 1
+    assert "vocabulary has no occurrences" in capsys.readouterr().err
 
 
 def test_corpus_record_that_no_longer_parses_exits_1_naming_it(

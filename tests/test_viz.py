@@ -10,7 +10,6 @@ from lexevo.ca import CaInput, compute_ca, project_supplementary
 from lexevo.errors import DataError, LayoutError, ValidationError
 from lexevo.stats import TrendFit, YearlyCounts, fit_quadratic_trend
 from lexevo.viz import (
-    ChartOptions,
     layout_word_cloud,
     render_bar_chart,
     render_ca_map,
@@ -183,11 +182,17 @@ def test_bar_chart_rejects_bad_values():
 
 
 def test_bar_chart_escapes_labels():
-    data = render_bar_chart([("<tag> & co", 3.0)], ChartOptions(title="A & B"))
+    data = render_bar_chart([("<tag> & co", 3.0)], title="A & B")
     root = _svg_root(data)
     texts = [t.text for t in root.findall(f"{SVG}text")]
     assert "<tag> & co" in texts
     assert "A & B" in texts
+
+
+@pytest.mark.parametrize("bars, height", [(1, 240), (30, 600)])
+def test_bar_chart_height_is_18_per_bar_and_at_least_240(bars, height):
+    root = _svg_root(render_bar_chart([(f"t{i}", 1.0) for i in range(bars)]))
+    assert float(root.get("height")) == height
 
 
 # --- trend chart -------------------------------------------------------------------
