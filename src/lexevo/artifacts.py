@@ -17,9 +17,9 @@ a ``float`` (the shortest text that parses back to the same double), an
 empty cell for ``None``. :func:`write_tsv` and :func:`read_tsv` handle the
 TSV artifacts; :func:`write_csv` writes the one CSV artifact, ``corpus.csv``,
 which the export's reader reads back. A header other than the declared
-names, a row whose cell count differs from the header's, a cell that does
-not parse as its column's type, or JSON that does not parse raises
-:class:`DependencyError` naming the file and line.
+names, a header with no row under it, a row whose cell count differs from
+the header's, a cell that does not parse as its column's type, or JSON that
+does not parse raises :class:`DependencyError` naming the file and line.
 """
 
 from __future__ import annotations
@@ -140,7 +140,9 @@ def _to_cells(kind: type, values: Sequence) -> Iterable[str]:
 
 
 def read_tsv(src: str | Path, columns: Columns) -> list[list]:
-    """The declared columns under the header, each a list in file order."""
+    """The declared columns under the header, each a list in file order.
+    Every table the package reads back holds at least one row, so a header
+    alone is malformed."""
     lines = read_text(src).splitlines()
     if not lines:
         raise DependencyError(f"malformed artifact {src}: no header line")
@@ -154,7 +156,9 @@ def read_tsv(src: str | Path, columns: Columns) -> list[list]:
     names = [name for name, _ in columns]
     if lines[0].split("\t") != names:
         raise DependencyError(f"malformed artifact {src}: line 1: header is not {names}")
-    cells = "\t".join(lines[1:]).split("\t") if len(lines) > 1 else []
+    if len(lines) == 1:
+        raise DependencyError(f"malformed artifact {src}: line 2: no row under the header")
+    cells = "\t".join(lines[1:]).split("\t")
     return [_parse(src, name, kind, cells[j::width]) for j, (name, kind) in enumerate(columns)]
 
 

@@ -55,15 +55,17 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from . import artifacts
 from .corpus import Corpus
 from .errors import DataError, ValidationError
 from .textpipe import DocTermMatrix, group_sum
+
+if TYPE_CHECKING:  # annotations only: SciPy is imported where a matrix is built
+    from scipy import sparse
 
 __all__ = [
     "SIGN_CONVENTION",
@@ -111,7 +113,7 @@ class CaInput:
                 f"label count {(len(self.row_labels), len(self.col_labels))} "
                 f"does not match matrix shape {m.shape}"
             )
-        stored = m.data if sparse.issparse(m) else m
+        stored = m if isinstance(m, np.ndarray) else m.data
         if not np.all(np.isfinite(stored)):
             raise ValidationError("matrix contains non-finite entries")
         if (stored < 0).any():
@@ -210,8 +212,10 @@ def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
     (reduced in place; one block of rows at a time while it is built), its
     eigenvalues, and arrays of one side's length times ``dims``.
     """
-    # Imported here: importing scipy.linalg would add to the start-up of
-    # every subcommand.
+    # Imported here, like every SciPy import of the package: at module level
+    # it would add to the start-up of every subcommand, and only ingest, ca
+    # and periods build a sparse matrix.
+    from scipy import sparse
     from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 
     inp.validate()
@@ -327,6 +331,8 @@ def aggregate_year_profiles(
     otherwise). A year whose rows are all zero would have a zero profile;
     such years are omitted with a warning.
     """
+    from scipy import sparse
+
     docs = corpus.by_id()
     row_years: list[int] = []
     for doc_id in inp.row_labels:

@@ -8,8 +8,8 @@ directory, so stages can be re-run individually; ``run`` hands each
 stage's outputs to the next in memory. Both produce identical artifacts.
 
 All diagnostics go to stderr. Exit codes: 0 success, 1 invalid
-configuration or input shape, 2 data prevents the computation, 3
-unexpected internal error.
+configuration, command line or input shape, 2 data prevents the
+computation, 3 unexpected internal error.
 """
 
 from __future__ import annotations
@@ -61,7 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse wrote the help, or the usage error
+        return 1 if exc.code else 0  # a usage error is a configuration error
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if args.verbose else logging.INFO,

@@ -230,6 +230,10 @@ def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
     """Parse, filter, tokenize and count once; write the corpus, vocabulary,
     matrices and the token report (uniqueness statistics, documents pruned
     from the DTM)."""
+    # Loaded before the export is parsed: loaded by count_terms, once the
+    # corpus is in memory, SciPy raises the stage's peak resident set.
+    import scipy.sparse  # noqa: F401
+
     ws = _workspace(cfg, ws)
     out = ws.out
 

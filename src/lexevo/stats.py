@@ -142,10 +142,8 @@ def fit_quadratic_trend(series: YearlyCounts) -> TrendFit:
     """
     y = np.asarray(series.counts, dtype=np.float64)
     x = np.arange(1, len(y) + 1, dtype=np.float64)
-    if np.unique(x).size < 3:
-        raise InsufficientDataError(
-            f"quadratic fit needs >= 3 distinct years, got {np.unique(x).size}"
-        )
+    if len(x) < 3:  # each x is a distinct year
+        raise InsufficientDataError(f"quadratic fit needs >= 3 distinct years, got {len(x)}")
     c2, c1, c0 = np.polyfit(x, y, 2)
     residuals = y - (c2 * x * x + c1 * x + c0)
     ss_res = float(residuals @ residuals)

@@ -13,6 +13,10 @@ columns, ``build_dtm`` selects the vocabulary's columns and prunes the rows
 left empty, and ``uniqueness_stats`` reads token and distinct-term counts
 (row sums and row nnz). The built structures are immutable and safe to
 share.
+
+SciPy is imported by the functions that build or convert a sparse matrix,
+not by the module, so a process that never builds one (``lexevo stats``,
+``lexevo figures``) starts without it.
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from . import artifacts
 from .corpus import Corpus
@@ -41,6 +44,9 @@ from .errors import (
     ValidationError,
 )
 from .stopwords import ENGLISH_STOPWORDS
+
+if TYPE_CHECKING:  # annotations only; see the module docstring
+    from scipy import sparse
 
 __all__ = [
     "TokenStream",
@@ -190,6 +196,8 @@ def count_terms(streams: Sequence[TokenStream]) -> TermCounts:
     """The one counting pass over the tokens: every distinct token's column
     (in order of first appearance) and its count in each stream, one row
     per stream."""
+    from scipy import sparse
+
     lengths = [len(s.tokens) for s in streams]
     column: dict[str, int] = defaultdict(itertools.count().__next__)
     tokens = itertools.chain.from_iterable(s.tokens for s in streams)
@@ -404,6 +412,8 @@ def weight_matrix(dtm: DocTermMatrix, scheme: WeightScheme) -> sparse.csr_matrix
     term with the same count in all N documents has entropy exactly ln N,
     so its entropy factor is set to exactly 0 rather than left to rounding.
     """
+    from scipy import sparse
+
     scheme = WeightScheme(scheme)
     coo = dtm.counts.tocoo()
     f = coo.data.astype(np.float64)
@@ -470,6 +480,8 @@ def write_counts_tsv(
     value_name: str = "count",
 ) -> None:
     """Sparse triplet dump (doc_id, term, value), row-major order."""
+    from scipy import sparse
+
     csr = sparse.csr_matrix(matrix)
     csr.sort_indices()
     doc_ids = np.repeat(np.asarray(rows, dtype=object), np.diff(csr.indptr))
@@ -498,6 +510,8 @@ def dtm_from_triplets(
     naming ``source`` and the line of the offending triplet (triplet k is
     on line k + 2, under the header).
     """
+    from scipy import sparse
+
     doc_ids, terms, counts = triplets
     row_index = {r: i for i, r in enumerate(rows)}
     n = len(doc_ids)
@@ -515,9 +529,13 @@ def dtm_from_triplets(
     return DocTermMatrix(rows=tuple(rows), vocabulary=vocab, counts=matrix)
 
 
-def group_sum(counts: sparse.spmatrix, group_index: Sequence[int], n_groups: int) -> np.ndarray:
-    """Dense float64 (n_groups, n_cols) sums of the rows of ``counts``: row i
-    is added into row ``group_index[i]``. Sums of integer counts are exact."""
-    n = counts.shape[0]
-    indicator = sparse.csr_matrix((np.ones(n), (group_index, np.arange(n))), shape=(n_groups, n))
-    return (indicator @ counts).toarray()
+def group_sum(counts: sparse.csr_matrix, group_index: Sequence[int], n_groups: int) -> np.ndarray:
+    """Dense float64 (n_groups, n_cols) sums of the rows of the CSR matrix
+    ``counts``: row i is added into row ``group_index[i]``, and each cell
+    adds its rows in row order. Sums of integer counts are exact."""
+    n_cols = counts.shape[1]
+    groups = np.repeat(np.asarray(group_index, dtype=np.int64), np.diff(counts.indptr))
+    cells = np.bincount(
+        groups * n_cols + counts.indices, weights=counts.data, minlength=n_groups * n_cols
+    )
+    return cells.reshape(n_groups, n_cols)

@@ -16,7 +16,6 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from . import artifacts
 from .ca import CaModel, SupplementaryProjection
@@ -65,8 +64,18 @@ def _fmt(x: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
+#: The markup characters of XML text; an attribute value, always written
+#: between double quotes, escapes the quote too.
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTR_ESCAPES = {**_TEXT_ESCAPES, ord('"'): "&quot;"}
+
+
+def _escape(s: str) -> str:
+    return s.translate(_TEXT_ESCAPES)
+
+
 def _attr(s: str) -> str:
-    return escape(s, {'"': "&quot;"})
+    return s.translate(_ATTR_ESCAPES)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -93,7 +102,7 @@ def _title_elem(title: str) -> str:
         return ""
     return (
         f'<text x="{_fmt(_CHART_WIDTH / 2)}" y="18" text-anchor="middle" '
-        f'font-size="14" font-weight="bold">{escape(title)}</text>\n'
+        f'font-size="14" font-weight="bold">{_escape(title)}</text>\n'
     )
 
 
@@ -227,7 +236,7 @@ def render_word_cloud(layout: CloudLayout) -> str:
         parts.append(
             f'<text x="{_fmt(p.x)}" y="{_fmt(baseline)}" text-anchor="middle" '
             f'font-size="{_fmt(p.font_size)}" fill="{color}">'
-            f"{escape(p.term)}</text>\n"
+            f"{_escape(p.term)}</text>\n"
         )
     parts.append("</svg>\n")
     return "".join(parts)
@@ -282,12 +291,12 @@ def render_bar_chart(
         )
         parts.append(
             f'<text x="{_fmt(left - 6)}" y="{_fmt(y + bar_h / 2 + 4)}" '
-            f'text-anchor="end" font-size="11">{escape(label)}</text>\n'
+            f'text-anchor="end" font-size="11">{_escape(label)}</text>\n'
         )
         parts.append(
             f'<text x="{_fmt(left + bw + 4)}" y="{_fmt(y + bar_h / 2 + 4)}" '
             f'text-anchor="start" font-size="10" fill="#444">'
-            f"{escape(_short_num(value))}</text>\n"
+            f"{_escape(_short_num(value))}</text>\n"
         )
     parts.append(
         f'<line x1="{_fmt(left)}" y1="{_fmt(top)}" x2="{_fmt(left)}" '
@@ -443,7 +452,7 @@ def render_ca_map(
         parts.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" fill="{_PALETTE[0]}"/>\n'
             f'<text x="{_fmt(x + 4)}" y="{_fmt(y + 3)}" font-size="9" '
-            f'fill="#333">{escape(label)}</text>\n'
+            f'fill="#333">{_escape(label)}</text>\n'
         )
     parts.append("</g>\n")
 
@@ -466,7 +475,7 @@ def render_ca_map(
                 f'<rect x="{_fmt(x - 3)}" y="{_fmt(y - 3)}" width="6" height="6" '
                 f'fill="{_PALETTE[1]}"/>\n'
                 f'<text x="{_fmt(x + 5)}" y="{_fmt(y - 4)}" font-size="10" '
-                f'font-weight="bold" fill="{_PALETTE[1]}">{escape(proj.label)}</text>\n'
+                f'font-weight="bold" fill="{_PALETTE[1]}">{_escape(proj.label)}</text>\n'
             )
         parts.append("</g>\n")
 

@@ -290,10 +290,9 @@ def test_codec_guard_detects_encoding_and_decoding(tmp_path):
 
 # --- no dense copy of a sparse matrix ------------------------------------------
 
-#: (module, function) allowed to densify: ``group_sum``'s output is a small
-#: groups x terms table, and ``compute_ca`` densifies only the
+#: (module, function) allowed to densify: ``compute_ca`` densifies only the
 #: min(rows, cols) square Gram matrix of the shorter side, never the table.
-_DENSE_ALLOWED = {("textpipe", "group_sum"), ("ca", "compute_ca")}
+_DENSE_ALLOWED = {("ca", "compute_ca")}
 
 
 def _dense_calls(path: Path) -> list[str]:
@@ -315,7 +314,7 @@ def _dense_calls(path: Path) -> list[str]:
     return found
 
 
-def test_only_group_sum_and_compute_ca_densify_a_sparse_matrix():
+def test_only_compute_ca_densifies_a_sparse_matrix():
     modules = sorted(SRC.glob("*.py"))
     assert modules, SRC
     assert [v for p in modules for v in _dense_calls(p)] == []

@@ -190,6 +190,23 @@ def test_bad_config_exits_1(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.conf")]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["bogus"], ["run"], ["run", "--config", "x.conf", "--seed", "x"]],
+    ids=["no-subcommand", "unknown-subcommand", "no-config", "bad-seed"],
+)
+def test_a_command_line_usage_error_exits_1_with_the_usage_on_stderr(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: lexevo" in captured.err and "error:" in captured.err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: lexevo" in capsys.readouterr().out
+
+
 def test_a_config_path_that_is_a_directory_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path)]) == 1
     assert f"config file not readable: {tmp_path}" in capsys.readouterr().err
@@ -319,6 +336,12 @@ def _write_fractional_count(dtm: Path) -> int:
     return 5
 
 
+def _keep_header_only(path: Path) -> int:
+    """Cut a table to its header; the missing first row is line 2."""
+    path.write_text(path.read_text(encoding="utf-8").splitlines(keepends=True)[0], encoding="utf-8")
+    return 2
+
+
 def _non_numeric(column: str):
     """A corruption that writes 'x' into ``column`` on line 2."""
 
@@ -348,6 +371,12 @@ def _non_numeric(column: str):
         ("term_frequencies.tsv", "figures", _non_numeric("frequency")),
         ("ca_coords.tsv", "figures", _non_numeric("mass")),
         ("year_coords.tsv", "figures", _non_numeric("dim2")),
+        ("dtm.tsv", "ca", _keep_header_only),
+        ("dtm.tsv", "periods", _keep_header_only),
+        ("term_frequencies.tsv", "figures", _keep_header_only),
+        ("type_shares.tsv", "figures", _keep_header_only),
+        ("ca_coords.tsv", "figures", _keep_header_only),
+        ("year_coords.tsv", "figures", _keep_header_only),
     ],
 )
 def test_malformed_artifact_exits_1_naming_file_and_line(
@@ -391,10 +420,6 @@ def _drop_dims(path: Path) -> None:
     path.write_text(json.dumps(model), encoding="utf-8")
 
 
-def _keep_header_only(path: Path) -> None:
-    path.write_text(path.read_text(encoding="utf-8").splitlines(keepends=True)[0], encoding="utf-8")
-
-
 @pytest.mark.parametrize(
     "artifact, corrupt",
     [
@@ -425,7 +450,8 @@ def test_a_vocabulary_without_rows_exits_1(tmp_path, write_mini_config, capsys, 
     _keep_header_only(out / "vocabulary.tsv")
     capsys.readouterr()
     assert main([stage, "--config", str(config)]) == 1
-    assert "vocabulary has no occurrences" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"malformed artifact {out / 'vocabulary.tsv'}: line 2: no row under the header" in err
 
 
 def test_corpus_record_that_no_longer_parses_exits_1_naming_it(

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, strategies as st
 
 import oracles
@@ -28,6 +29,7 @@ from lexevo.textpipe import (
     build_vocabulary,
     count_terms,
     dtm_from_triplets,
+    group_sum,
     load_stoplist,
     read_counts_tsv,
     read_vocabulary_tsv,
@@ -501,6 +503,21 @@ def test_weighting_never_grows_sparsity(small_dtm, scheme):
 def test_weight_matrix_accepts_scheme_strings(small_dtm):
     wm = weight_matrix(small_dtm, "tf-idf")
     assert (wm != weight_matrix(small_dtm, WeightScheme.TF_IDF)).nnz == 0
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_group_sum_equals_the_indicator_product_bit_for_bit(dtype):
+    # The reference sums the rows through a sparse indicator matrix; float
+    # sums agree only if each cell adds its rows in the same (row) order.
+    rng = np.random.default_rng(3)
+    dense = rng.lognormal(size=(300, 40)) * (rng.random((300, 40)) < 0.3)
+    matrix = sparse.csr_matrix(np.ceil(dense).astype(dtype) if dtype is np.int64 else dense)
+    groups = rng.integers(0, 6, size=300)  # group 6 of 7 stays empty
+    indicator = sparse.csr_matrix((np.ones(300), (groups, np.arange(300))), shape=(7, 300))
+    expected = (indicator @ matrix).toarray()
+    got = group_sum(matrix, groups.tolist(), 7)
+    assert got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
 
 
 # --- TSV round-trips ---------------------------------------------------------

@@ -65,18 +65,44 @@ def test_readme_config_table_lists_the_echoed_keys_in_order():
     assert _readme_table_names("## Config file") == keys
 
 
-def test_the_command_line_does_not_import_scipy_linalg():
-    # Importing scipy.linalg adds about 0.13 s to every process's start-up.
+def _python(code: str, *args: str) -> str:
+    """The stdout of ``python -c code args`` run on the checkout's ``src``."""
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, lexevo.cli; print('scipy.linalg' in sys.modules)"],
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_the_command_line_imports_no_scipy_and_no_xml_sax():
+    # On two cores SciPy added about 0.3 s to a process's start-up and
+    # xml.sax about 0.03 s, which every stage subcommand would pay.
+    loaded = _python(
+        "import sys, lexevo.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m.startswith('xml.sax')))"
+    )
+    assert loaded == "[]"
+
+
+def test_only_the_stages_that_build_a_sparse_matrix_load_scipy(tmp_path, write_mini_config):
+    config = write_mini_config(tmp_path / "out")
+    stage = (
+        "import sys; from lexevo.cli import main; code = main(sys.argv[1:]); "
+        "print(code, 'scipy' in sys.modules)"
+    )
+    loads = {
+        name: _python(stage, name, "--config", str(config))
+        for name in ("ingest", "stats", "ca", "periods", "figures")
+    }
+    assert loads == {
+        "ingest": "0 True", "stats": "0 False", "ca": "0 True",
+        "periods": "0 True", "figures": "0 False",
+    }
 
 def _patch_targets() -> list[tuple[str, str]]:
     """(module, attribute) of every entry in ``traced.PATCHES``, read
