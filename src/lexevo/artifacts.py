@@ -52,15 +52,18 @@ def read_text(src: str | Path) -> str:
         raise _not_utf8(src, len(data), exc) from None
 
 
-def text_lines(source: bytes, name: str | Path) -> Iterator[str]:
-    """The lines of UTF-8 bytes, decoded as they are read, so the decoded
-    text is never held whole. Line endings are kept and not translated,
-    as a CSV reader wants; ``name`` names ``source`` in an error."""
-    text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
-    try:
-        yield from text
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(name, text.buffer.tell(), exc) from None
+def text_lines(source: IO[bytes], name: str | Path) -> Iterator[str]:
+    """The lines of a binary stream of UTF-8, read and decoded a chunk at a
+    time as the caller asks for them, so neither the bytes nor the decoded
+    text is ever held whole. Line endings are kept and not translated, as
+    a CSV reader wants; ``name`` names ``source`` in an error. ``source``
+    is closed once its lines end, on an error, or when the iteration is
+    dropped."""
+    with io.TextIOWrapper(source, encoding="utf-8-sig", newline="") as text:
+        try:
+            yield from text
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(name, text.buffer.tell(), exc) from None
 
 
 def _not_utf8(name: str | Path, consumed: int, exc: UnicodeDecodeError) -> EncodingError:

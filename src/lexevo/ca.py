@@ -231,14 +231,19 @@ def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
     a, b = _margin(p, 1), _margin(p, 0)
     root_a, root_b = np.sqrt(a), np.sqrt(b)
     q = sparse.diags(1.0 / root_a) @ p @ sparse.diags(1.0 / root_b)
+    del p
 
     # S = Q - sqrt(a) sqrt(b)^T. Since Q sqrt(b) = sqrt(a), the rows' Gram
     # matrix is S S^T = Q Q^T - sqrt(a) sqrt(a)^T; with more rows than
     # columns, the same holds for S^T with the two sides swapped.
     transposed = n_rows > n_cols
     qs, root_s, root_l = (q.T.tocsr(), root_b, root_a) if transposed else (q, root_a, root_b)
-    # Filled a block of rows at a time, so the only other large array is one
-    # block's sparse product; the mass term is subtracted one row at a time.
+    del q
+    # P and Q are released once the next copy exists, so while the Gram
+    # matrix is filled the only whole sparse copies of the table are qs and
+    # its transpose. It is filled a block of rows at a time, so the only
+    # other large arrays are one block's rows and their sparse product; the
+    # mass term is subtracted one row at a time.
     n = qs.shape[0]
     qs_t = qs.T.tocsr()
     gram = np.empty((n, n))

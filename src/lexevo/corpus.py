@@ -9,10 +9,11 @@ a parsed corpus can be shared freely across threads.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from . import artifacts
 from .errors import DataError, SchemaError
@@ -211,9 +212,9 @@ CANONICAL_SCHEMA = CsvSchema(
 )
 
 
-def _records(source: bytes, name: str | Path) -> Iterator[list[str]]:
-    """The CSV records of UTF-8 bytes, decoded as they are read; ``name``
-    names ``source`` in an encoding error."""
+def _records(source: IO[bytes], name: str | Path) -> Iterator[list[str]]:
+    """The CSV records of a binary UTF-8 stream, read and decoded as the
+    reader asks for them; ``name`` names ``source`` in an encoding error."""
     return csv.reader(artifacts.text_lines(source, name))
 
 
@@ -229,8 +230,9 @@ def parse_bibliographic_csv(
     documents are returned); a leading byte-order mark, which exports often
     carry, is not data. The bytes are decoded chunk by chunk as the CSV
     reader asks for lines, so the decoded text is never held whole: each
-    field becomes its own string. One document per data row. Keywords are
-    split on ``;`` and trimmed.
+    field becomes its own string. :func:`load_corpus_csv` parses a file the
+    same way, read as it is decoded. One document per data row. Keywords
+    are split on ``;`` and trimmed.
     Rows with a malformed year or citation count (or a year outside
     ``year_window``, or a duplicate id, or an id that holds a tab or a
     line break and so cannot be a cell of a TSV artifact) are collected
@@ -238,11 +240,11 @@ def parse_bibliographic_csv(
     The returned provenance has ``loaded == retained`` and zero exclusions:
     filtering is a separate, explicit step (:func:`filter_corpus`).
     """
-    return _parse(source, "input", schema, year_window)
+    return _parse(io.BytesIO(source), "input", schema, year_window)
 
 
 def _parse(
-    source: bytes, name: str | Path, schema: CsvSchema, year_window: tuple[int, int]
+    source: IO[bytes], name: str | Path, schema: CsvSchema, year_window: tuple[int, int]
 ) -> Corpus:
     reader = _records(source, name)
     try:
@@ -340,8 +342,12 @@ def load_corpus_csv(
     year_window: tuple[int, int] = DEFAULT_YEAR_WINDOW,
 ) -> Corpus:
     """Parse a CSV file from disk, as :func:`parse_bibliographic_csv` does;
-    an encoding error names ``path``."""
-    return _parse(Path(path).read_bytes(), path, schema, year_window)
+    an encoding error names ``path``. The file is read a chunk at a time as
+    the CSV reader asks for lines, so its bytes are never held whole: the
+    parse holds little more than the corpus it returns. The file is closed
+    on return and on every error."""
+    with open(path, "rb") as source:
+        return _parse(source, path, schema, year_window)
 
 
 def filter_corpus(

@@ -5,7 +5,8 @@ sparse document-term matrix, plus the pluggable weighting schemes.
 every stream that holds the token points to. The tokenized corpus is
 counted once, by ``count_terms``: it gives every distinct token an integer
 column, in order of first appearance, and builds one int64 CSR matrix of
-per-document counts, a :class:`TermCounts`. Every
+per-document counts, a :class:`TermCounts`, a block of streams at a time,
+so no array holds an entry per token of the corpus. Every
 later step reads that matrix instead of the tokens: ``auto_stop_terms``
 reads document frequencies (column nnz), ``build_vocabulary`` reads totals
 and document frequencies (column sums and nnz) and skips stoplisted
@@ -192,21 +193,42 @@ class TermCounts:
         return np.bincount(self.matrix.indices, minlength=len(self.column))
 
 
+#: Streams that :func:`count_terms` maps to columns and counts at a time.
+_BLOCK_STREAMS = 1024
+
+
 def count_terms(streams: Sequence[TokenStream]) -> TermCounts:
     """The one counting pass over the tokens: every distinct token's column
     (in order of first appearance) and its count in each stream, one row
-    per stream."""
+    per stream.
+
+    The streams are counted ``_BLOCK_STREAMS`` at a time, so no array holds
+    an entry per token of the corpus: a block's tokens become int32 column
+    ids, sorted and summed per stream, and the row pointers are filled as
+    each block is counted. The blocks' distinct ids and counts are
+    concatenated once, into the matrix's int32 indices and int64 data."""
     from scipy import sparse
 
-    lengths = [len(s.tokens) for s in streams]
     column: dict[str, int] = defaultdict(itertools.count().__next__)
-    tokens = itertools.chain.from_iterable(s.tokens for s in streams)
-    indices = np.fromiter(map(column.__getitem__, tokens), np.int64, sum(lengths))
-    indptr = np.zeros(len(streams) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    ones = np.ones(len(indices), dtype=np.int64)
-    matrix = sparse.csr_matrix((ones, indices, indptr), shape=(len(streams), len(column)))
-    matrix.sum_duplicates()
+    indices, data = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    indptr = np.zeros(len(streams) + 1, np.int32)
+    for start in range(0, len(streams), _BLOCK_STREAMS):
+        block = streams[start : start + _BLOCK_STREAMS]
+        lengths = [len(s.tokens) for s in block]
+        tokens = itertools.chain.from_iterable(s.tokens for s in block)
+        ids = np.fromiter(map(column.__getitem__, tokens), np.int32, sum(lengths))
+        # One int64 key per token, its stream's row above its column, so the
+        # sorted distinct keys are the block's rows in canonical CSR order.
+        rows = np.repeat(np.arange(len(block), dtype=np.int64), lengths)
+        keys, counts = np.unique((rows << 32) | ids, return_counts=True)
+        indices.append((keys & 0xFFFFFFFF).astype(np.int32))
+        data.append(counts.astype(np.int32))
+        row_nnz = np.bincount(keys >> 32, minlength=len(block))
+        indptr[start + 1 : start + len(block) + 1] = indptr[start] + np.cumsum(row_nnz)
+    matrix = sparse.csr_matrix(
+        (np.concatenate(data, dtype=np.int64), np.concatenate(indices), indptr),
+        shape=(len(streams), len(column)),
+    )
     return TermCounts(tuple(s.doc_id for s in streams), dict(column), matrix)
 
 

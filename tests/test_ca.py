@@ -334,6 +334,29 @@ def test_fit_peaks_near_one_gram_matrix():
     assert peak < 1.25 * gram_bytes, peak / gram_bytes
 
 
+def test_fit_releases_each_sparse_copy_once_the_next_exists():
+    # A tall table has its columns' Gram matrix filled from Q^T and its
+    # transpose. P and Q are released once the next copy exists, so the fit
+    # holds three float64 copies of the table while Q is formed from P, and
+    # two plus one block's rows and product while the Gram matrix is
+    # filled; holding P and Q then too would make it four. Less the Gram
+    # matrix, which also outweighs the arrays of the rows' length, the peak
+    # stays under three copies.
+    table = _occupied_table(np.random.default_rng(5), 20_000, 1_024, 700_000)
+    as_float = sparse.csr_matrix(table, dtype=np.float64)
+    copy_bytes = as_float.data.nbytes + as_float.indices.nbytes + as_float.indptr.nbytes
+    gram_bytes = 1_024**2 * 8
+    inp = _labeled(table.astype(np.int64))
+    compute_ca(inp, dims=2)  # imports and first-call set-up are not the fit's memory
+    tracemalloc.start()
+    try:
+        compute_ca(inp, dims=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - gram_bytes < 3 * copy_bytes, (peak - gram_bytes) / copy_bytes
+
+
 @pytest.mark.parametrize(
     "table",
     [

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import tracemalloc
 
 import oracles
@@ -15,6 +16,7 @@ from lexevo.corpus import (
     Document,
     FilterReport,
     filter_corpus,
+    load_corpus_csv,
     normalize_doc_type,
     parse_bibliographic_csv,
     write_corpus_csv,
@@ -169,10 +171,10 @@ _BOM = b"\xef\xbb\xbf"
 _COLUMNS = ("id", "title", "abstract", "keywords", "year", "doc_type", "citations")
 
 
-def _whole_text_records(source: bytes, name: str = "input"):
-    """The oracle: decode the whole export, then split it into records.
-    ``name`` is unused: the oracle's decode error names no file."""
-    return csv.reader(io.StringIO(source.decode("utf-8-sig"), newline=""))
+def _whole_text_records(source, name: str = "input"):
+    """The oracle: read and decode the whole binary stream, then split it
+    into records. ``name`` is unused: the oracle's decode error names no file."""
+    return csv.reader(io.StringIO(source.read().decode("utf-8-sig"), newline=""))
 
 
 def _whole_text_parse(source: bytes) -> Corpus:
@@ -244,7 +246,8 @@ def _exports(draw) -> bytes:
 
 
 def _assert_streamed_parse_is_the_whole_text_parse(source: bytes) -> None:
-    assert list(corpus_module._records(source, "input")) == list(_whole_text_records(source))
+    streamed = corpus_module._records(io.BytesIO(source), "input")
+    assert list(streamed) == list(_whole_text_records(io.BytesIO(source)))
     assert parse_bibliographic_csv(source, CANONICAL_SCHEMA) == _whole_text_parse(source)
 
 
@@ -284,9 +287,58 @@ def test_invalid_utf8_is_an_encoding_error_at_its_offset_in_the_file(source, off
         parse_bibliographic_csv(source, CANONICAL_SCHEMA)
 
 
-def test_parse_peak_memory_stays_below_twice_the_export():
-    # Real exports carry characters beyond Latin-1 (dashes, Greek letters):
-    # a whole decoded text would then cost 2 or 4 bytes per character.
+@pytest.fixture()
+def opened_files(monkeypatch):
+    """Every file that ``corpus`` opens, so a test can check it was closed."""
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(corpus_module, "open", spy, raising=False)
+    return opened
+
+
+@pytest.mark.parametrize(("source", "offset"), _INVALID_UTF8.values(), ids=_INVALID_UTF8)
+def test_invalid_utf8_in_a_file_is_named_by_its_path_at_its_offset(
+    source, offset, tmp_path, opened_files
+):
+    path = tmp_path / "export.csv"
+    path.write_bytes(source)
+    message = f"^{re.escape(str(path))} is not valid UTF-8 at byte {offset} "
+    with pytest.raises(EncodingError, match=message) as raised:
+        load_corpus_csv(path, CANONICAL_SCHEMA)
+    # Closed while the traceback, which holds the parse's frames, still lives.
+    assert len(opened_files) == 1 and opened_files[0].closed, raised
+
+
+@pytest.mark.parametrize(
+    ("source", "error"),
+    [
+        (b"", SchemaError),  # no header row
+        (b"id,title\n" + b"a,t\n" * 5000, SchemaError),  # a mapped column is missing
+        (_csv("a,t,x,,2020,article,0"), None),
+    ],
+    ids=["empty", "missing-column", "parsed"],
+)
+def test_a_loaded_file_is_closed_on_every_outcome(source, error, tmp_path, opened_files):
+    path = tmp_path / "export.csv"
+    path.write_bytes(source)
+    if error is None:
+        assert len(load_corpus_csv(path, CANONICAL_SCHEMA)) == 1
+    else:
+        with pytest.raises(error) as raised:
+            load_corpus_csv(path, CANONICAL_SCHEMA)
+        # Closed while the traceback, which holds the parse's frames, still lives.
+        assert opened_files[0].closed, raised
+    assert len(opened_files) == 1 and opened_files[0].closed
+
+
+def _large_export() -> bytes:
+    """A 2 MB export whose characters reach beyond Latin-1, as real exports'
+    do (dashes, Greek letters): a whole decoded text would then cost 2 or 4
+    bytes per character."""
     rare = ["caf\u00e9"] * 49 + ["\U0001d6fc"]
     rows = [
         f"d{i},Title {i} \u2014 part {i % 7},"
@@ -296,6 +348,11 @@ def test_parse_peak_memory_stays_below_twice_the_export():
     ]
     source = _csv(*rows)
     assert len(source) >= 2_000_000
+    return source
+
+
+def test_parse_peak_memory_stays_below_twice_the_export():
+    source = _large_export()
     tracemalloc.start()
     try:
         corpus = parse_bibliographic_csv(source, CANONICAL_SCHEMA)
@@ -304,6 +361,22 @@ def test_parse_peak_memory_stays_below_twice_the_export():
         tracemalloc.stop()
     assert len(corpus) == 1700
     assert peak < 2 * len(source)
+
+
+def test_loading_a_file_holds_little_beyond_the_corpus_it_returns(tmp_path):
+    # The file is read a chunk at a time as it is parsed: what the load
+    # holds at its peak beyond the corpus is a small part of the file.
+    path = tmp_path / "export.csv"
+    path.write_bytes(_large_export())
+    load_corpus_csv(path, CANONICAL_SCHEMA)  # first-call set-up is not the load's memory
+    tracemalloc.start()
+    try:
+        corpus = load_corpus_csv(path, CANONICAL_SCHEMA)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 1700
+    assert peak - retained < path.stat().st_size / 4, (peak - retained, path.stat().st_size)
 
 
 @pytest.mark.parametrize(

@@ -6,10 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy import sparse
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from lexevo import artifacts
+from lexevo import artifacts, textpipe
 from lexevo.corpus import Corpus, DocType, Document, FilterReport
 from lexevo.errors import (
     ConfigError,
@@ -223,6 +223,33 @@ def test_stoplist_entries_are_normalized_like_tokens(tmp_path):
     stoplist = load_stoplist(path)
     text = unicodedata.normalize("NFD", "naïve café")
     assert [token in stoplist for token in tokenize(text)] == [True, True]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(["aa", "bb", "cc", "dd", "ee", "ff"]), max_size=7),
+             max_size=14),
+    st.integers(1, 5),
+)
+@example([], 1)  # an empty corpus
+@example([[], [], []], 2)  # streams without a token, across a block boundary
+@example([["aa"], [], ["bb", "aa", "bb"], [], ["cc"]], 2)
+def test_block_counting_equals_the_one_pass_count(token_lists, block):
+    streams = _streams(*token_lists)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textpipe, "_BLOCK_STREAMS", block)
+        counts = count_terms(streams)
+    column, expected = oracles.one_pass_count_terms(streams)
+    assert list(counts.column.items()) == list(column.items())
+    assert type(counts.column) is dict
+    assert counts.doc_ids == tuple(s.doc_id for s in streams)
+    matrix = counts.matrix
+    assert matrix.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(matrix, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert matrix.has_canonical_format == expected.has_canonical_format
 
 
 def test_auto_stop_terms_threshold():
