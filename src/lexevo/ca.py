@@ -213,8 +213,8 @@ def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
     eigenvalues, and arrays of one side's length times ``dims``.
     """
     # Imported here, like every SciPy import of the package: at module level
-    # it would add to the start-up of every subcommand, and only ingest, ca
-    # and periods build a sparse matrix.
+    # it would add to the start-up of every subcommand, and only ca builds a
+    # SciPy matrix.
     from scipy import sparse
     from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 

@@ -134,7 +134,7 @@ def _contingency(
     n = len(period_names)
     row_of: dict[str, int] = {name: i for i, name in enumerate(period_names)}
     groups = [row_of.get(assignment.get(doc_id), n) for doc_id in dtm.rows]
-    table = group_sum(dtm.counts, groups, n + 1)
+    table = group_sum(dtm.csr, groups, n + 1)
     names = list(period_names)
     if table[-1].sum() > 0:
         names.append(UNASSIGNED)

@@ -12,10 +12,12 @@ be re-run in isolation. A missing upstream artifact raises
 :class:`DependencyError` naming the subcommand that produces it, and so
 does a malformed one, naming the file: bytes that are not UTF-8 (with the
 offset), a table or JSON file that :mod:`lexevo.artifacts` cannot parse
-(with the line), a ``dtm.tsv`` term missing from ``vocabulary.tsv`` (with
-the line), a ``corpus.csv`` record that no longer parses (with the record),
-or a field a reader needs that is missing or of the wrong type. The CLI
-exits 1 for all of these.
+(with the line), a ``corpus.csv`` record that no longer parses (with the
+record), or a field a reader needs that is missing or of the wrong type.
+``dtm.tsv`` holds each row's triplets on consecutive lines, one per term,
+so a row whose lines resume after another row's, a (row, term) pair on two
+lines and a term missing from ``vocabulary.tsv`` are malformed too (with
+the line). The CLI exits 1 for all of these.
 
 Every artifact is written through :mod:`lexevo.artifacts`, atomically: to
 a temporary file in the output directory that then replaces the artifact.
@@ -230,10 +232,6 @@ def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
     """Parse, filter, tokenize and count once; write the corpus, vocabulary,
     matrices and the token report (uniqueness statistics, documents pruned
     from the DTM)."""
-    # Loaded before the export is parsed: loaded by count_terms, once the
-    # corpus is in memory, SciPy raises the stage's peak resident set.
-    import scipy.sparse  # noqa: F401
-
     ws = _workspace(cfg, ws)
     out = ws.out
 
@@ -262,9 +260,9 @@ def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
     vocab = textpipe.build_vocabulary(counts, cfg.min_term_freq, stoplist)
     dtm = textpipe.build_dtm(counts, vocab)
     textpipe.write_vocabulary_tsv(dtm.vocabulary, out / A_VOCAB)
-    textpipe.write_counts_tsv(dtm.rows, dtm.terms, dtm.counts, out / A_DTM)
+    textpipe.write_counts_tsv(dtm.rows, dtm.terms, dtm.csr, out / A_DTM)
     ws[A_VOCAB], ws[A_DTM] = dtm.vocabulary, dtm
-    weighted = textpipe.weight_matrix(dtm, cfg.weighting)
+    weighted = textpipe.weight_arrays(dtm, cfg.weighting)
     textpipe.write_counts_tsv(dtm.rows, dtm.terms, weighted, out / A_WEIGHTED, "weight")
 
     uniq = textpipe.uniqueness_stats(counts)

@@ -4,20 +4,25 @@ sparse document-term matrix, plus the pluggable weighting schemes.
 ``tokenize_documents`` keeps one string object per distinct token, which
 every stream that holds the token points to. The tokenized corpus is
 counted once, by ``count_terms``: it gives every distinct token an integer
-column, in order of first appearance, and builds one int64 CSR matrix of
-per-document counts, a :class:`TermCounts`, a block of streams at a time,
-so no array holds an entry per token of the corpus. Every
-later step reads that matrix instead of the tokens: ``auto_stop_terms``
-reads document frequencies (column nnz), ``build_vocabulary`` reads totals
-and document frequencies (column sums and nnz) and skips stoplisted
-columns, ``build_dtm`` selects the vocabulary's columns and prunes the rows
-left empty, and ``uniqueness_stats`` reads token and distinct-term counts
-(row sums and row nnz). The built structures are immutable and safe to
-share.
+column, in order of first appearance, and builds the per-document counts,
+a :class:`TermCounts`, a block of streams at a time, so no array holds an
+entry per token of the corpus. Every later step reads those counts instead
+of the tokens: ``auto_stop_terms`` reads document frequencies (column
+nnz), ``build_vocabulary`` reads totals and document frequencies (column
+sums and nnz) and skips stoplisted columns, ``build_dtm`` selects the
+vocabulary's columns and prunes the rows left empty, and
+``uniqueness_stats`` reads token and distinct-term counts (row sums and row
+nnz). The built structures are immutable and safe to share.
 
-SciPy is imported by the functions that build or convert a sparse matrix,
-not by the module, so a process that never builds one (``lexevo stats``,
-``lexevo figures``) starts without it.
+Counts and weights are held as one kind of sparse matrix from tokens to
+artifacts: a :class:`Csr`, NumPy arrays in canonical compressed-sparse-row
+form (int32 row pointers and column indices, int64 counts or float64
+weights). Its attribute names match SciPy's ``csr_matrix``, so
+``group_sum`` and ``write_counts_tsv`` take either. SciPy is imported only
+to wrap those arrays, without a copy, in a ``csr_matrix`` for a caller that
+asks for one: ``TermCounts.matrix``, ``DocTermMatrix.counts`` and
+``weight_matrix``. Correspondence analysis does; ``lexevo ingest`` and
+``lexevo periods`` never do, and start without SciPy.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +55,7 @@ if TYPE_CHECKING:  # annotations only; see the module docstring
     from scipy import sparse
 
 __all__ = [
+    "Csr",
     "TokenStream",
     "TermCounts",
     "UniquenessStats",
@@ -65,6 +71,7 @@ __all__ = [
     "uniqueness_stats",
     "build_vocabulary",
     "build_dtm",
+    "weight_arrays",
     "weight_matrix",
     "write_vocabulary_tsv",
     "read_vocabulary_tsv",
@@ -168,32 +175,74 @@ def load_stoplist(path: str | Path) -> frozenset[str]:
     return frozenset(terms)
 
 
+class Csr(NamedTuple):
+    """A sparse matrix as NumPy arrays in canonical CSR form: row i holds
+    the columns ``indices[indptr[i]:indptr[i + 1]]``, ascending and
+    distinct, and their values at the same positions of ``data``.
+
+    ``indptr`` and ``indices`` are int32, ``data`` int64 counts or float64
+    weights, the dtypes SciPy gives such a matrix, so the SciPy view of the
+    arrays (``_csr_matrix``) copies none of them.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def sums(self, axis: int) -> np.ndarray:
+        """Exact int64 sums of integer data down each column (``axis=0``)
+        or along each row (``axis=1``), with no array as long as the data."""
+        sums = np.zeros(self.shape[1 - axis], np.int64)
+        if axis == 0:
+            np.add.at(sums, self.indices, self.data)
+        else:
+            # Each non-empty row's cells run up to the next non-empty row's.
+            filled = np.diff(self.indptr) > 0
+            if filled.any():
+                sums[filled] = np.add.reduceat(self.data, self.indptr[:-1][filled])
+        return sums
+
+
+def _csr_matrix(csr: Csr) -> sparse.csr_matrix:
+    """A SciPy ``csr_matrix`` over the arrays of ``csr``, not a copy."""
+    from scipy import sparse
+
+    return sparse.csr_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class TermCounts:
     """Per-document counts of every distinct token of a tokenized corpus.
 
     One row per stream (``doc_ids``), one column per distinct token
     (``column`` maps token -> column, in order of first appearance), and
-    ``matrix``, the int64 CSR counts in canonical form (sorted, summed
-    indices), so every column holds at least one occurrence.
+    ``csr``, the int64 counts, so every column holds at least one
+    occurrence.
     """
 
     doc_ids: tuple[str, ...]
     column: dict[str, int]
-    matrix: sparse.csr_matrix
+    csr: Csr
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """The counts as a SciPy matrix, built on first use."""
+        return _csr_matrix(self.csr)
 
     @cached_property
     def totals(self) -> np.ndarray:
         """Corpus-wide count of each column (column sums)."""
-        return np.asarray(self.matrix.sum(axis=0)).ravel()
+        return self.csr.sums(axis=0)
 
     @cached_property
     def doc_frequency(self) -> np.ndarray:
         """Number of documents holding each column (column nnz)."""
-        return np.bincount(self.matrix.indices, minlength=len(self.column))
+        return np.bincount(self.csr.indices, minlength=len(self.column))
 
 
-#: Streams that :func:`count_terms` maps to columns and counts at a time.
+#: Streams that :func:`count_terms` counts at a time, and rows of their
+#: counts that :func:`build_dtm` selects from at a time.
 _BLOCK_STREAMS = 1024
 
 
@@ -206,9 +255,7 @@ def count_terms(streams: Sequence[TokenStream]) -> TermCounts:
     an entry per token of the corpus: a block's tokens become int32 column
     ids, sorted and summed per stream, and the row pointers are filled as
     each block is counted. The blocks' distinct ids and counts are
-    concatenated once, into the matrix's int32 indices and int64 data."""
-    from scipy import sparse
-
+    concatenated once, into the int32 indices and int64 data."""
     column: dict[str, int] = defaultdict(itertools.count().__next__)
     indices, data = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     indptr = np.zeros(len(streams) + 1, np.int32)
@@ -225,11 +272,13 @@ def count_terms(streams: Sequence[TokenStream]) -> TermCounts:
         data.append(counts.astype(np.int32))
         row_nnz = np.bincount(keys >> 32, minlength=len(block))
         indptr[start + 1 : start + len(block) + 1] = indptr[start] + np.cumsum(row_nnz)
-    matrix = sparse.csr_matrix(
-        (np.concatenate(data, dtype=np.int64), np.concatenate(indices), indptr),
-        shape=(len(streams), len(column)),
+    csr = Csr(
+        indptr,
+        np.concatenate(indices),
+        np.concatenate(data, dtype=np.int64),
+        (len(streams), len(column)),
     )
-    return TermCounts(tuple(s.doc_id for s in streams), dict(column), matrix)
+    return TermCounts(tuple(s.doc_id for s in streams), dict(column), csr)
 
 
 def auto_stop_terms(counts: TermCounts, max_doc_fraction: float) -> frozenset[str]:
@@ -280,8 +329,8 @@ def uniqueness_stats(counts: TermCounts) -> UniquenessStats:
     n = len(counts.doc_ids)
     if n == 0:
         raise UndefinedStatisticError("no token streams given")
-    totals = np.asarray(counts.matrix.sum(axis=1)).ravel().tolist()
-    uniques = np.diff(counts.matrix.indptr).tolist()
+    totals = counts.csr.sums(axis=1).tolist()
+    uniques = np.diff(counts.csr.indptr).tolist()
     ratios = [u / t for u, t in zip(uniques, totals) if t > 0]
     if not ratios:
         raise UndefinedStatisticError("every token stream is empty")
@@ -351,14 +400,14 @@ def _subset_vocabulary(vocab: Vocabulary, keep: Sequence[str]) -> Vocabulary:
 class DocTermMatrix:
     """Sparse counts with marginals; rows are documents, columns terms.
 
-    The marginals and the grand total are the sums of ``counts``, computed
-    once on first use. ``build_dtm`` guarantees that no row or column is
-    all zero.
+    ``csr`` holds the int64 counts. The marginals and the grand total are
+    their sums, and ``counts`` their SciPy matrix, each computed once on
+    first use. ``build_dtm`` guarantees that no row or column is all zero.
     """
 
     rows: tuple[str, ...]
     vocabulary: Vocabulary
-    counts: sparse.csr_matrix
+    csr: Csr
     pruned_rows: tuple[str, ...] = ()
     pruned_terms: tuple[str, ...] = ()
 
@@ -367,20 +416,25 @@ class DocTermMatrix:
         return self.vocabulary.terms
 
     @cached_property
+    def counts(self) -> sparse.csr_matrix:
+        """The counts as a SciPy matrix, built on first use."""
+        return _csr_matrix(self.csr)
+
+    @cached_property
     def row_margins(self) -> np.ndarray:
-        return np.asarray(self.counts.sum(axis=1)).ravel()
+        return self.csr.sums(axis=1)
 
     @cached_property
     def col_margins(self) -> np.ndarray:
-        return np.asarray(self.counts.sum(axis=0)).ravel()
+        return self.csr.sums(axis=0)
 
     @cached_property
     def grand_total(self) -> int:
-        return int(self.counts.sum())
+        return int(self.csr.data.sum())
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.counts.shape
+        return self.csr.shape
 
 
 def build_dtm(counts: TermCounts, vocab: Vocabulary) -> DocTermMatrix:
@@ -390,24 +444,48 @@ def build_dtm(counts: TermCounts, vocab: Vocabulary) -> DocTermMatrix:
     are pruned and reported in ``pruned_rows``; vocabulary terms absent
     from every document are likewise pruned into ``pruned_terms`` so the
     matrix never carries an all-zero row or column.
+
+    Each count column maps to its vocabulary position through one int64
+    lookup array (-1 for a column outside the vocabulary). The rows are
+    read ``_BLOCK_STREAMS`` at a time, so no temporary array is as long as
+    the counts: a block's kept cells, keyed ``row << 32 | col``, are sorted
+    into canonical order and copied into the matrix, whose size the kept
+    columns' document frequencies give beforehand.
     """
     if len(vocab) == 0:
         raise ValidationError("vocabulary is empty")
-    column = counts.column
+    column, csr = counts.column, counts.csr
     kept_terms = [t for t in vocab.terms if t in column]
-    matrix = counts.matrix[:, [column[t] for t in kept_terms]]
-    nonempty = np.diff(matrix.indptr) > 0
+    kept_columns = np.fromiter(map(column.__getitem__, kept_terms), np.int64, len(kept_terms))
+    position = np.full(csr.shape[1], -1, np.int64)
+    position[kept_columns] = np.arange(len(kept_terms))
+    indices = np.empty(int(counts.doc_frequency[kept_columns].sum()), np.int32)
+    data = np.empty(indices.size, np.int64)
+    row_nnz = np.zeros(csr.shape[0], np.int64)
+    filled = 0
+    for start in range(0, csr.shape[0], _BLOCK_STREAMS):
+        ptr = csr.indptr[start : start + _BLOCK_STREAMS + 1]
+        cols = position[csr.indices[ptr[0] : ptr[-1]]]
+        kept = cols >= 0
+        rows = np.repeat(np.arange(ptr.size - 1, dtype=np.int64), np.diff(ptr))[kept]
+        cols = cols[kept]
+        order = np.argsort((rows << 32) | cols)
+        indices[filled : filled + order.size] = cols[order]
+        data[filled : filled + order.size] = csr.data[ptr[0] : ptr[-1]][kept][order]
+        filled += order.size
+        row_nnz[start : start + ptr.size - 1] = np.bincount(rows, minlength=ptr.size - 1)
+    nonempty = row_nnz > 0
     if not nonempty.any():
         raise EmptyMatrixError("every document row was pruned (all tokens OOV)")
-    matrix = matrix[nonempty]
-    matrix.sort_indices()
+    indptr = np.zeros(int(nonempty.sum()) + 1, np.int32)
+    np.cumsum(row_nnz[nonempty], out=indptr[1:])
     pruned_terms = tuple(t for t in vocab.terms if t not in column)
     if pruned_terms:
         vocab = _subset_vocabulary(vocab, kept_terms)
     return DocTermMatrix(
         rows=tuple(d for d, k in zip(counts.doc_ids, nonempty) if k),
         vocabulary=vocab,
-        counts=matrix,
+        csr=Csr(indptr, indices, data, (indptr.size - 1, len(kept_terms))),
         pruned_rows=tuple(d for d, k in zip(counts.doc_ids, nonempty) if not k),
         pruned_terms=pruned_terms,
     )
@@ -419,8 +497,8 @@ class WeightScheme(str, Enum):
     ENTROPY = "entropy"
 
 
-def weight_matrix(dtm: DocTermMatrix, scheme: WeightScheme) -> sparse.csr_matrix:
-    """Apply a weighting scheme to the counts: a real-valued matrix with the
+def weight_arrays(dtm: DocTermMatrix, scheme: WeightScheme | str) -> Csr:
+    """Apply a weighting scheme to the counts: float64 weights with the
     DTM's shape, its rows (``dtm.rows``) and its columns (``dtm.terms``).
 
     relative-frequency : f_ij / f_i. (each row sums to 1)
@@ -434,13 +512,12 @@ def weight_matrix(dtm: DocTermMatrix, scheme: WeightScheme) -> sparse.csr_matrix
     term with the same count in all N documents has entropy exactly ln N,
     so its entropy factor is set to exactly 0 rather than left to rounding.
     """
-    from scipy import sparse
-
     scheme = WeightScheme(scheme)
-    coo = dtm.counts.tocoo()
-    f = coo.data.astype(np.float64)
-    ri, cj = coo.row, coo.col
+    csr = dtm.csr
+    f = csr.data.astype(np.float64)
     n_rows = len(dtm.rows)
+    ri = np.repeat(np.arange(n_rows, dtype=np.int32), np.diff(csr.indptr))
+    cj = csr.indices
     df = np.bincount(cj, minlength=len(dtm.terms))
 
     if scheme is WeightScheme.RELATIVE_FREQUENCY:
@@ -461,9 +538,15 @@ def weight_matrix(dtm: DocTermMatrix, scheme: WeightScheme) -> sparse.csr_matrix
         factor[(df == n_rows) & (dtm.col_margins == n_rows * fmax)] = 0.0
         vals = np.log1p(f) * factor[cj]
 
-    values = sparse.csr_matrix((vals, (ri, cj)), shape=dtm.counts.shape)
-    values.eliminate_zeros()
-    return values
+    stored = vals != 0
+    indptr = np.zeros_like(csr.indptr)
+    np.cumsum(np.bincount(ri[stored], minlength=n_rows), out=indptr[1:])
+    return Csr(indptr, cj[stored], vals[stored], csr.shape)
+
+
+def weight_matrix(dtm: DocTermMatrix, scheme: WeightScheme | str) -> sparse.csr_matrix:
+    """The weights of :func:`weight_arrays` as a SciPy matrix."""
+    return _csr_matrix(weight_arrays(dtm, scheme))
 
 
 # ---------------------------------------------------------------------------
@@ -497,26 +580,33 @@ def _counts_columns(value_name: str) -> artifacts.Columns:
 def write_counts_tsv(
     rows: Sequence[str],
     terms: Sequence[str],
-    matrix: sparse.spmatrix,
+    matrix: Csr | sparse.csr_matrix,
     dest: str | Path,
     value_name: str = "count",
 ) -> None:
-    """Sparse triplet dump (doc_id, term, value), row-major order."""
-    from scipy import sparse
+    """Sparse triplet dump (doc_id, term, value), row-major order, of a
+    CSR matrix with sorted indices: a :class:`Csr` or a SciPy one."""
+    doc_ids = np.repeat(np.asarray(rows, dtype=object), np.diff(matrix.indptr))
+    cell_terms = np.asarray(terms, dtype=object)[matrix.indices]
+    artifacts.write_tsv(dest, _counts_columns(value_name), [doc_ids, cell_terms, matrix.data])
 
-    csr = sparse.csr_matrix(matrix)
-    csr.sort_indices()
-    doc_ids = np.repeat(np.asarray(rows, dtype=object), np.diff(csr.indptr))
-    cell_terms = np.asarray(terms, dtype=object)[csr.indices]
-    artifacts.write_tsv(dest, _counts_columns(value_name), [doc_ids, cell_terms, csr.data])
+
+def _run_starts(doc_ids: Sequence[str]) -> np.ndarray:
+    """Index of the first triplet of each run of equal consecutive doc ids."""
+    ids = np.asarray(doc_ids, dtype=object)
+    new = np.ones(len(ids), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def read_counts_tsv(src: str | Path) -> tuple[list[str], list[list]]:
     """Read a count triplet dump (``dtm.tsv``); returns (row ids in
     first-appearance order, the doc_id, term and count columns in file
-    order, so triplet k is on line k + 2)."""
+    order, so triplet k is on line k + 2). A row's triplets are on
+    consecutive lines, so the row ids are read once per run of lines."""
     triplets = artifacts.read_tsv(src, _counts_columns("count"))
-    return list(dict.fromkeys(triplets[0])), triplets
+    doc_ids = triplets[0]
+    return list(dict.fromkeys(doc_ids[k] for k in _run_starts(doc_ids).tolist())), triplets
 
 
 def dtm_from_triplets(
@@ -526,35 +616,68 @@ def dtm_from_triplets(
     source: str | Path = "dtm.tsv",
 ) -> DocTermMatrix:
     """Rebuild a DocTermMatrix from the doc_id, term and integer count
-    columns of a triplet dump and its vocabulary.
+    columns of a triplet dump and its vocabulary; ``rows`` labels the
+    matrix rows, in order, and may name rows without a triplet.
 
-    A term missing from the vocabulary raises :class:`DependencyError`
-    naming ``source`` and the line of the offending triplet (triplet k is
-    on line k + 2, under the header).
+    Each run of consecutive triplets with one doc_id is a row. Its terms
+    map to int32 columns through ``vocab.index``, and its cells are sorted
+    by column. The writer never produces any of these, each a
+    :class:`DependencyError` naming ``source`` and the line of the
+    offending triplet (triplet k is on line k + 2, under the header):
+
+    - a term missing from the vocabulary;
+    - a row whose triplets resume after another row's;
+    - a (row, term) pair on two lines (the error names the later one).
     """
-    from scipy import sparse
-
     doc_ids, terms, counts = triplets
-    row_index = {r: i for i, r in enumerate(rows)}
     n = len(doc_ids)
-    ris = np.fromiter(map(row_index.__getitem__, doc_ids), np.int64, n)
-    cjs = np.fromiter((vocab.index.get(t, -1) for t in terms), np.int64, n)
-    if (cjs < 0).any():
-        k = int(np.argmax(cjs < 0))
+    starts = _run_starts(doc_ids).tolist()
+    run_ids = [doc_ids[k] for k in starts]
+    if len(set(run_ids)) < len(run_ids):
+        seen: set[str] = set()
+        k = next(k for k, r in zip(starts, run_ids) if r in seen or seen.add(r))
+        raise DependencyError(
+            f"malformed artifact {source}: line {k + 2}: "
+            f"row {doc_ids[k]!r} resumes after another row's lines"
+        )
+    index = vocab.index
+    cols = np.fromiter(map(index.get, terms, itertools.repeat(-1)), np.int32, n)
+    if (cols < 0).any():
+        k = int(np.argmax(cols < 0))
         raise DependencyError(
             f"malformed artifact {source}: line {k + 2}: "
             f"term {terms[k]!r} is not in the vocabulary"
         )
-    matrix = sparse.csr_matrix(
-        (np.asarray(counts, dtype=np.int64), (ris, cjs)), shape=(len(rows), len(vocab))
+    row_index = {r: i for i, r in enumerate(rows)}
+    run_rows = np.fromiter(map(row_index.__getitem__, run_ids), np.int64, len(run_ids))
+    keys = (np.repeat(run_rows, np.diff(starts + [n])) << 32) | cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeated.size:
+        k = int(order[repeated + 1].min())
+        raise DependencyError(
+            f"malformed artifact {source}: line {k + 2}: "
+            f"row {doc_ids[k]!r} holds term {terms[k]!r} on an earlier line too"
+        )
+    indptr = np.zeros(len(rows) + 1, np.int32)
+    np.cumsum(np.bincount(keys >> 32, minlength=len(rows)), out=indptr[1:])
+    csr = Csr(
+        indptr,
+        (keys & 0xFFFFFFFF).astype(np.int32),
+        np.asarray(counts, dtype=np.int64)[order],
+        (len(rows), len(vocab)),
     )
-    return DocTermMatrix(rows=tuple(rows), vocabulary=vocab, counts=matrix)
+    return DocTermMatrix(rows=tuple(rows), vocabulary=vocab, csr=csr)
 
 
-def group_sum(counts: sparse.csr_matrix, group_index: Sequence[int], n_groups: int) -> np.ndarray:
+def group_sum(
+    counts: Csr | sparse.csr_matrix, group_index: Sequence[int], n_groups: int
+) -> np.ndarray:
     """Dense float64 (n_groups, n_cols) sums of the rows of the CSR matrix
-    ``counts``: row i is added into row ``group_index[i]``, and each cell
-    adds its rows in row order. Sums of integer counts are exact."""
+    ``counts``, a :class:`Csr` or a SciPy one: row i is added into row
+    ``group_index[i]``, and each cell adds its rows in row order. Sums of
+    integer counts are exact."""
     n_cols = counts.shape[1]
     groups = np.repeat(np.asarray(group_index, dtype=np.int64), np.diff(counts.indptr))
     cells = np.bincount(

@@ -7,7 +7,10 @@ oracle solves the normal equations explicitly instead of calling a
 fitting routine, counts use collections.Counter over raw loops, the
 term-count matrix is built in one pass over every token and summed by
 SciPy's ``sum_duplicates``, where the package counts a block of streams at
-a time and sums each block with ``numpy.unique``, the
+a time and sums each block with ``numpy.unique``, the document-term
+matrix, its weightings, its sums and its rebuild from ``dtm.tsv`` are
+SciPy matrix operations (column slicing, COO conversion, ``sum``,
+``eliminate_zeros``), where the package works on NumPy CSR arrays, the
 chi-square statistic is an explicit double loop, and ``corpus.csv`` is
 written by the standard library's ``csv.writer``, where the package quotes
 cells itself. Agreement between the two routes is evidence, not tautology.
@@ -129,6 +132,80 @@ def one_pass_count_terms(streams) -> tuple[dict, sparse.csr_matrix]:
     matrix = sparse.csr_matrix((ones, indices, indptr), shape=(len(streams), len(column)))
     matrix.sum_duplicates()
     return dict(column), matrix
+
+
+def count_sums(matrix: sparse.csr_matrix) -> dict[str, np.ndarray]:
+    """Column and row sums and nnz of a count matrix, from SciPy."""
+    return {
+        "totals": np.asarray(matrix.sum(axis=0)).ravel(),
+        "doc_frequency": matrix.getnnz(axis=0),
+        "row_totals": np.asarray(matrix.sum(axis=1)).ravel(),
+        "row_nnz": matrix.getnnz(axis=1),
+    }
+
+
+def uniqueness_oracle(matrix: sparse.csr_matrix) -> tuple[float, float, float]:
+    """(mean tokens, mean distinct terms, mean unique/total ratio over the
+    non-empty rows) of a count matrix, from SciPy's row sums and nnz."""
+    sums = count_sums(matrix)
+    totals, uniques = sums["row_totals"].tolist(), sums["row_nnz"].tolist()
+    ratios = [u / t for u, t in zip(uniques, totals) if t > 0]
+    n = matrix.shape[0]
+    return sum(totals) / n, sum(uniques) / n, sum(ratios) / len(ratios)
+
+
+def dtm_oracle(
+    matrix: sparse.csr_matrix, column: dict[str, int], terms: Sequence[str]
+) -> tuple[np.ndarray, list[str], sparse.csr_matrix]:
+    """(kept-row mask, kept terms, counts) of ``build_dtm``: SciPy slices
+    the vocabulary's columns, then the non-empty rows."""
+    kept_terms = [t for t in terms if t in column]
+    selected = matrix[:, [column[t] for t in kept_terms]]
+    nonempty = selected.getnnz(axis=1) > 0
+    selected = selected[nonempty]
+    selected.sort_indices()
+    return nonempty, kept_terms, selected
+
+
+def weight_oracle(counts: sparse.csr_matrix, scheme: str) -> sparse.csr_matrix:
+    """``weight_arrays`` on a SciPy count matrix, through COO and
+    ``eliminate_zeros``; the formulas are in ``textpipe.weight_arrays``."""
+    coo = counts.tocoo()
+    f = coo.data.astype(np.float64)
+    ri, cj = coo.row, coo.col
+    n_rows, n_cols = counts.shape
+    df = np.bincount(cj, minlength=n_cols)
+    row_margins = np.asarray(counts.sum(axis=1)).ravel()
+    col_margins = np.asarray(counts.sum(axis=0)).ravel()
+    if scheme == "relative-frequency":
+        vals = f / row_margins[ri]
+    elif scheme == "tf-idf":
+        vals = (f / row_margins[ri]) * np.log(n_rows / df[cj])
+    else:
+        p = f / col_margins[cj]
+        ent = np.zeros(n_cols)
+        np.add.at(ent, cj, p * np.log(p))
+        factor = np.maximum(1.0 + ent / np.log(n_rows), 0.0)
+        fmax = np.zeros(n_cols)
+        np.maximum.at(fmax, cj, f)
+        factor[(df == n_rows) & (col_margins == n_rows * fmax)] = 0.0
+        vals = np.log1p(f) * factor[cj]
+    values = sparse.csr_matrix((vals, (ri, cj)), shape=counts.shape)
+    values.eliminate_zeros()
+    return values
+
+
+def triplets_oracle(
+    rows: Sequence[str], index: dict[str, int], triplets, n_cols: int
+) -> sparse.csr_matrix:
+    """The count matrix of ``dtm.tsv``'s triplets, built by SciPy from COO."""
+    doc_ids, terms, counts = triplets
+    row_index = {r: i for i, r in enumerate(rows)}
+    return sparse.csr_matrix(
+        (np.asarray(counts, dtype=np.int64),
+         ([row_index[d] for d in doc_ids], [index[t] for t in terms])),
+        shape=(len(rows), n_cols),
+    )
 
 
 def vocabulary_counter(token_lists) -> tuple[Counter, Counter]:

@@ -336,6 +336,22 @@ def _write_fractional_count(dtm: Path) -> int:
     return 5
 
 
+def _repeat_first_triplet(dtm: Path) -> int:
+    """Append a copy of line 2; returns the copy's line number."""
+    lines = dtm.read_text(encoding="utf-8").splitlines(keepends=True)
+    dtm.write_text("".join([*lines, lines[1]]), encoding="utf-8")
+    return len(lines) + 1
+
+
+def _resume_first_row_at_the_end(dtm: Path) -> int:
+    """Move line 2 to the end, after the other rows' lines; the first row
+    keeps line 3, so its lines resume there. Returns the moved line's number."""
+    lines = dtm.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[1].split("\t")[0] == lines[2].split("\t")[0]
+    dtm.write_text("".join([lines[0], *lines[2:], lines[1]]), encoding="utf-8")
+    return len(lines)
+
+
 def _keep_header_only(path: Path) -> int:
     """Cut a table to its header; the missing first row is line 2."""
     path.write_text(path.read_text(encoding="utf-8").splitlines(keepends=True)[0], encoding="utf-8")
@@ -366,6 +382,8 @@ def _non_numeric(column: str):
         ("filter_report.json", "stats", _write_unterminated_json),
         ("dtm.tsv", "ca", _drop_last_vocabulary_term),
         ("dtm.tsv", "periods", _write_fractional_count),
+        ("dtm.tsv", "periods", _repeat_first_triplet),
+        ("dtm.tsv", "ca", _resume_first_row_at_the_end),
         ("vocabulary.tsv", "stats", _non_numeric("total_frequency")),
         ("type_shares.tsv", "figures", _non_numeric("share")),
         ("term_frequencies.tsv", "figures", _non_numeric("frequency")),

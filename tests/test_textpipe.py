@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import unicodedata
@@ -14,15 +15,18 @@ from lexevo.corpus import Corpus, DocType, Document, FilterReport
 from lexevo.errors import (
     ConfigError,
     DegenerateCorpusError,
+    DependencyError,
     EmptyMatrixError,
     UndefinedStatisticError,
     ValidationError,
 )
 from lexevo.stopwords import ENGLISH_STOPWORDS
 from lexevo.textpipe import (
+    Csr,
     DocTermMatrix,
     TokenStream,
     UniquenessStats,
+    Vocabulary,
     WeightScheme,
     auto_stop_terms,
     build_dtm,
@@ -37,6 +41,7 @@ from lexevo.textpipe import (
     tokenize,
     tokenize_documents,
     uniqueness_stats,
+    weight_arrays,
     weight_matrix,
     write_counts_tsv,
     write_vocabulary_tsv,
@@ -581,3 +586,153 @@ def test_weights_tsv_preserves_exact_floats(small_dtm, tmp_path):
     for doc_id, term, value in zip(*triplets):
         # repr() round-trips doubles exactly
         assert value == dense[row_index[doc_id], index[term]]
+
+
+# --- NumPy CSR arrays against the SciPy references -----------------------------
+
+_TERMS = ["aa", "bb", "cc", "dd", "ee", "ff"]
+
+
+def _vocabulary(terms):
+    """A vocabulary of ``terms`` in the given order; only the order matters
+    to ``build_dtm``."""
+    return Vocabulary(tuple(terms), dict.fromkeys(terms, 0), dict.fromkeys(terms, 0))
+
+
+@st.composite
+def _tokens_and_vocabulary(draw):
+    """Random token lists and a vocabulary in random order that leaves some
+    of their terms out (pruning rows) and holds terms they lack (pruned)."""
+    token_lists = draw(st.lists(st.lists(st.sampled_from(_TERMS), max_size=8),
+                                min_size=1, max_size=10))
+    terms = draw(st.lists(st.sampled_from([*_TERMS, "gg", "hh"]), min_size=1, unique=True))
+    return token_lists, _vocabulary(terms)
+
+
+def _assert_same_csr(got: Csr, want: sparse.csr_matrix) -> None:
+    assert isinstance(got, Csr)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+# A term in every document (tf-idf weight 0) and one with the same count in
+# every document (entropy factor exactly 0).
+_ZERO_WEIGHTS = ([["aa", "bb", "cc"], ["aa", "bb"], ["aa", "bb", "bb"]],
+                 _vocabulary(["aa", "bb", "cc"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tokens_and_vocabulary(), st.integers(1, 4))
+@example(_ZERO_WEIGHTS, 1024)
+@example(([["aa"], ["bb"]], _vocabulary(["cc"])), 1024)  # every row pruned
+def test_build_dtm_equals_the_scipy_reference(case, block):
+    token_lists, vocab = case
+    counts = _counts(*token_lists)
+    column, matrix = oracles.one_pass_count_terms(_streams(*token_lists))
+    nonempty, kept_terms, expected = oracles.dtm_oracle(matrix, column, vocab.terms)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textpipe, "_BLOCK_STREAMS", block)
+        if not nonempty.any():
+            with pytest.raises(EmptyMatrixError):
+                build_dtm(counts, vocab)
+            return
+        dtm = build_dtm(counts, vocab)
+    _assert_same_csr(dtm.csr, expected)
+    assert dtm.terms == tuple(kept_terms)
+    assert dtm.rows == tuple(d for d, k in zip(counts.doc_ids, nonempty) if k)
+    assert dtm.pruned_rows == tuple(d for d, k in zip(counts.doc_ids, nonempty) if not k)
+    assert dtm.pruned_terms == tuple(t for t in vocab.terms if t not in counts.column)
+    sums = oracles.count_sums(expected)
+    assert np.array_equal(dtm.row_margins, sums["row_totals"])
+    assert np.array_equal(dtm.col_margins, sums["totals"])
+    assert dtm.row_margins.dtype == dtm.col_margins.dtype == np.int64
+    assert dtm.grand_total == int(expected.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tokens_and_vocabulary(), st.sampled_from(list(WeightScheme)))
+@example(_ZERO_WEIGHTS, WeightScheme.TF_IDF)
+@example(_ZERO_WEIGHTS, WeightScheme.ENTROPY)
+def test_weights_equal_the_scipy_reference(case, scheme):
+    token_lists, vocab = case
+    try:
+        dtm = build_dtm(_counts(*token_lists), vocab)
+    except EmptyMatrixError:
+        return
+    if len(dtm.rows) < 2 and scheme is not WeightScheme.RELATIVE_FREQUENCY:
+        return
+    expected = oracles.weight_oracle(dtm.counts.copy(), scheme.value)
+    _assert_same_csr(weight_arrays(dtm, scheme), expected)
+
+
+def test_the_zero_weights_are_dropped():
+    dtm = build_dtm(_counts(*_ZERO_WEIGHTS[0]), _ZERO_WEIGHTS[1])
+    # aa and bb are in all three documents; only aa has the same count in each.
+    for scheme, dropped in ((WeightScheme.TF_IDF, 6), (WeightScheme.ENTROPY, 3)):
+        assert dtm.csr.data.size - weight_arrays(dtm, scheme).data.size == dropped
+
+
+def _shuffle_within_rows(path, rnd) -> None:
+    header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows = [list(g) for _, g in itertools.groupby(lines, key=lambda ln: ln.split("\t", 1)[0])]
+    for row in rows:
+        rnd.shuffle(row)
+    path.write_text(header + "".join(itertools.chain.from_iterable(rows)), encoding="utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tokens_and_vocabulary(), st.randoms(use_true_random=False))
+def test_the_dtm_reader_equals_the_scipy_reference(tmp_path_factory, case, rnd):
+    token_lists, vocab = case
+    try:
+        dtm = build_dtm(_counts(*token_lists), vocab)
+    except EmptyMatrixError:
+        return
+    path = tmp_path_factory.mktemp("dtm") / "dtm.tsv"
+    write_counts_tsv(dtm.rows, dtm.terms, dtm.csr, path)
+    _shuffle_within_rows(path, rnd)
+    rows, triplets = read_counts_tsv(path)
+    assert rows == list(dtm.rows)
+    rebuilt = dtm_from_triplets(rows, dtm.vocabulary, triplets, path)
+    expected = oracles.triplets_oracle(rows, dtm.vocabulary.index, triplets, len(dtm.terms))
+    _assert_same_csr(rebuilt.csr, expected)
+    _assert_same_csr(rebuilt.csr, dtm.counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_TERMS), max_size=9), max_size=10))
+def test_count_sums_equal_the_scipy_reference(token_lists):
+    counts = _counts(*token_lists)
+    _, expected = oracles.one_pass_count_terms(_streams(*token_lists))
+    sums = oracles.count_sums(expected)
+    assert counts.totals.dtype == np.int64
+    assert np.array_equal(counts.totals, sums["totals"])
+    assert np.array_equal(counts.doc_frequency, sums["doc_frequency"])
+    if not any(token_lists):
+        return
+    assert uniqueness_stats(counts) == UniquenessStats(*oracles.uniqueness_oracle(expected))
+
+
+def test_the_scipy_views_share_the_numpy_arrays(small_dtm):
+    counts = _counts(["aa", "bb"], ["bb"])
+    weights = weight_arrays(small_dtm, WeightScheme.TF_IDF)
+    for csr, dtype in ((small_dtm.csr, np.int64), (counts.csr, np.int64), (weights, np.float64)):
+        assert (csr.indptr.dtype, csr.indices.dtype, csr.data.dtype) == (np.int32, np.int32, dtype)
+    for csr, view in ((small_dtm.csr, small_dtm.counts), (counts.csr, counts.matrix)):
+        assert isinstance(view, sparse.csr_matrix)
+        for name in ("indptr", "indices", "data"):
+            assert np.shares_memory(getattr(view, name), getattr(csr, name)), name
+    assert small_dtm.counts is small_dtm.counts
+    assert weight_matrix(small_dtm, WeightScheme.TF_IDF).data.tobytes() == weights.data.tobytes()
+
+
+def test_malformed_triplets_name_their_line(small_dtm):
+    doc_ids, terms, counts = ["d0", "d0", "d1", "d0"], ["aa", "bb", "aa", "cc"], [1, 1, 1, 1]
+    with pytest.raises(DependencyError, match="dtm.tsv: line 5: row 'd0' resumes"):
+        dtm_from_triplets(small_dtm.rows, small_dtm.vocabulary, (doc_ids, terms, counts))
+    doc_ids, terms = ["d0", "d0", "d0", "d1"], ["bb", "aa", "bb", "aa"]
+    with pytest.raises(DependencyError, match="dtm.tsv: line 4: row 'd0' holds term 'bb'"):
+        dtm_from_triplets(small_dtm.rows, small_dtm.vocabulary, (doc_ids, terms, counts))

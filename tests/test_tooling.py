@@ -100,8 +100,8 @@ def test_only_the_stages_that_build_a_sparse_matrix_load_scipy(tmp_path, write_m
         for name in ("ingest", "stats", "ca", "periods", "figures")
     }
     assert loads == {
-        "ingest": "0 True", "stats": "0 False", "ca": "0 True",
-        "periods": "0 True", "figures": "0 False",
+        "ingest": "0 False", "stats": "0 False", "ca": "0 True",
+        "periods": "0 False", "figures": "0 False",
     }
 
 def _patch_targets() -> list[tuple[str, str]]:
