@@ -25,6 +25,7 @@ does not parse raises :class:`DependencyError` naming the file and line.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
 import re
@@ -39,8 +40,10 @@ from .errors import DependencyError, EncodingError
 #: A table's declaration: each column's name and the type of its values.
 Columns = Sequence[tuple[str, type]]
 
-#: Rows that :func:`write_tsv` and :func:`write_csv` convert at a time.
-_BLOCK_ROWS = 8192
+#: Rows that :func:`write_tsv` and :func:`write_csv` convert at a time, and
+#: lines they write at once.
+_BLOCK_ROWS = 2048
+_WRITE_ROWS = 128
 
 
 def read_text(src: str | Path) -> str:
@@ -111,20 +114,26 @@ def _write_table(
     dest: str | Path, columns: Columns, values: Sequence[Sequence], sep: str,
     quoted: re.Pattern | None, header: bool
 ) -> None:
-    """Converts ``_BLOCK_ROWS`` rows at a time and writes them one by one, so no
-    column is ever held as text whole; a cell that ``quoted`` matches is quoted."""
+    """Converts ``_BLOCK_ROWS`` rows at a time and writes ``_WRITE_ROWS`` lines at
+    once, so no column is ever held as text whole and no write holds more
+    than a few lines; a cell that ``quoted`` matches is quoted."""
     if len(values) != len(columns) or len({len(v) for v in values}) > 1:
         raise ValueError(f"{dest}: values are not {len(columns)} columns of one length")
+
+    def quote(cell: str) -> str:
+        return '"%s"' % cell.replace('"', '""') if quoted.search(cell) else cell
+
     with _open_writer(dest) as fh:
         if header:
             fh.write(sep.join(name for name, _ in columns) + "\n")
         for start in range(0, max(map(len, values), default=0), _BLOCK_ROWS):
             stop = start + _BLOCK_ROWS
             block = [_to_cells(kind, v[start:stop]) for (_, kind), v in zip(columns, values)]
-            for row in zip(*block):
-                if quoted is not None:
-                    row = ['"%s"' % c.replace('"', '""') if quoted.search(c) else c for c in row]
-                fh.write(sep.join(row) + "\n")
+            if quoted is not None:
+                block = [map(quote, cells) for cells in block]
+            lines = map(sep.join, zip(*block))
+            while chunk := list(itertools.islice(lines, _WRITE_ROWS)):
+                fh.write("\n".join(chunk) + "\n")
 
 
 def _to_cells(kind: type, values: Sequence) -> Iterable[str]:

@@ -88,7 +88,7 @@ SIGN_CONVENTION = "colmax-positive-v1"
 
 #: Rows of the Gram matrix that :func:`compute_ca` fills from one sparse
 #: product at a time.
-_BLOCK_ROWS = 256
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,6 +24,15 @@ a temporary file in the output directory that then replaces the artifact.
 A stage that crashes leaves the previous artifacts (or none), never a
 half-written file for a later stage to trust.
 
+Ingest runs on every CPU the process may use. It counts the abstracts in
+lanes, one per CPU but at most one per 1,024 abstracts: this process counts
+the first range of documents and a forked child each other range, and the
+parts are merged in order. Then a forked writer writes the ingest
+artifacts, while ``lexevo run`` goes on to the next stages; ``run`` waits
+for the writer before it writes the manifest, and ``lexevo ingest`` before
+it returns. A child's error is raised again here with its type, and a
+writer that fails removes the artifacts it wrote.
+
 ``manifest.json`` (written by :func:`run_pipeline`) records the full
 config echo, the input checksum and per-stage wall-clock timings; the
 timings make it the one artifact that is not byte-reproducible.
@@ -34,10 +43,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import logging
+import os
+import pickle
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, get_type_hints
+from typing import Any, Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -126,14 +137,26 @@ class Workspace:
     ``TypeError`` or ``ValueError``, or bytes that are not UTF-8) raises
     :class:`DependencyError` naming the artifact. Only artifacts that a
     stage reads can be stored.
+
+    ``writer`` joins the child process that is still writing artifacts
+    into the directory (see :func:`stage_ingest`), if there is one;
+    :meth:`join_writer` waits for it, and so does every read from disk.
     """
 
     def __init__(self, out: Path) -> None:
         self.out = out
         self._objects: dict[str, Any] = {}
+        self.writer: Callable[[], Any] | None = None
+
+    def join_writer(self) -> None:
+        """Wait for the writer, if one runs; its error is raised here."""
+        join, self.writer = self.writer, None
+        if join is not None:
+            _result(join())
 
     def path(self, name: str) -> Path:
         """The artifact's path; :class:`DependencyError` if it is missing."""
+        self.join_writer()
         path = self.out / name
         if not path.is_file():
             raise DependencyError(
@@ -228,27 +251,126 @@ _READERS: dict[str, Callable[[Workspace], Any]] = {
 }
 
 
+def _fork(fn: Callable[..., Any], *args: Any) -> Callable[[], tuple[bool, Any]]:
+    """Call ``fn(*args)`` in a forked child; return the function that waits
+    for the child and returns ``(True, result)`` or ``(False, exception)``,
+    which :func:`_result` turns back into the result or the raised
+    exception. The child sends that pair back pickled over a pipe and
+    leaves only through ``os._exit``. Where ``os.fork`` does not exist,
+    ``fn`` runs here and now."""
+    if not hasattr(os, "fork"):
+        try:
+            outcome = (True, fn(*args))
+        except Exception as exc:
+            outcome = (False, exc)
+        return lambda: outcome
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            try:
+                outcome = (True, fn(*args))
+            except BaseException as exc:
+                outcome = (False, exc)
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write)
+
+    def join() -> tuple[bool, Any]:
+        try:
+            with os.fdopen(read, "rb") as pipe:
+                outcome = pickle.load(pipe)
+        except Exception as exc:  # the child ended before it sent the pair
+            outcome = (False, ChildProcessError(f"{fn.__name__} sent no outcome: {exc!r}"))
+        os.waitpid(pid, 0)
+        return outcome
+
+    return join
+
+
+def _result(outcome: tuple[bool, Any]) -> Any:
+    ok, value = outcome
+    if not ok:
+        raise value
+    return value
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _count_in_lanes(streams: Sequence[textpipe.TokenStream]) -> textpipe.TermCounts:
+    """``count_terms`` of the streams on ``lanes`` = min(usable CPUs,
+    blocks of ``_BLOCK_STREAMS`` streams) cores: the streams are split into
+    that many consecutive ranges; this process counts the first and a
+    forked child each other one, and the parts are merged in order."""
+    blocks = -(-len(streams) // textpipe._BLOCK_STREAMS)
+    lanes = max(1, min(_usable_cpus(), blocks))
+    bounds = [len(streams) * k // lanes for k in range(lanes + 1)]
+    joins = []
+    try:
+        for start, stop in zip(bounds[1:], bounds[2:]):
+            joins.append(_fork(textpipe.count_terms, streams[start:stop]))
+        first = textpipe.count_terms(streams[: bounds[1]])
+    finally:
+        outcomes = [join() for join in joins]
+    return textpipe.merge_counts([first, *map(_result, outcomes)])
+
+
+def _write_ingest(ws: Workspace, dtm: textpipe.DocTermMatrix, weighted: textpipe.Csr) -> None:
+    """Write every ingest artifact from what ingest stored in ``ws``, and
+    the DTM's weights. If a write fails, the artifacts already written are
+    removed, so no later stage reads what a failed ingest left."""
+    corpus = ws[A_CORPUS]
+    writes: tuple[tuple[str, Callable[[Path], Any]], ...] = (
+        (A_CORPUS, lambda path: write_corpus_csv(corpus, path)),
+        (A_FILTER_REPORT, lambda path: artifacts.write_json(path, ws[A_FILTER_REPORT])),
+        (A_REJECTS, lambda path: write_rejects_report(corpus.rejects, path)),
+        (A_VOCAB, lambda path: textpipe.write_vocabulary_tsv(dtm.vocabulary, path)),
+        (A_DTM, lambda path: textpipe.write_counts_tsv(dtm.rows, dtm.terms, dtm.csr, path)),
+        (A_WEIGHTED, lambda path: textpipe.write_counts_tsv(
+            dtm.rows, dtm.terms, weighted, path, "weight")),
+        (A_TOKEN_REPORT, lambda path: artifacts.write_json(path, ws[A_TOKEN_REPORT])),
+    )
+    written: list[Path] = []
+    try:
+        for name, write in writes:
+            write(ws.out / name)
+            written.append(ws.out / name)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
     """Parse, filter, tokenize and count once; write the corpus, vocabulary,
     matrices and the token report (uniqueness statistics, documents pruned
-    from the DTM)."""
-    ws = _workspace(cfg, ws)
-    out = ws.out
+    from the DTM).
 
-    corpus = load_corpus_csv(cfg.input, cfg.schema, year_window=cfg.year_window)
-    filtered = filter_corpus(corpus, cfg.excluded_types)
+    The abstracts are counted on several cores (:func:`_count_in_lanes`).
+    Once the DTM and its weights exist and the counts are released, a
+    forked child writes the artifacts (:func:`_write_ingest`): given a
+    workspace, the stage returns while it writes, and ``ws.join_writer()``
+    waits for it; otherwise the stage waits for it before it returns."""
+    standalone = ws is None
+    ws = _workspace(cfg, ws)
+
+    filtered = filter_corpus(
+        load_corpus_csv(cfg.input, cfg.schema, year_window=cfg.year_window), cfg.excluded_types
+    )
     logger.info(
         "ingest: loaded %d rows, retained %d documents",
         filtered.provenance.loaded,
         filtered.provenance.retained,
     )
-    write_corpus_csv(filtered, out / A_CORPUS)
-    ws[A_CORPUS] = filtered
-    ws[A_FILTER_REPORT] = dataclasses.asdict(filtered.provenance)
-    artifacts.write_json(out / A_FILTER_REPORT, ws[A_FILTER_REPORT])
-    write_rejects_report(filtered.rejects, out / A_REJECTS)
-
-    counts = textpipe.count_terms(textpipe.tokenize_documents(filtered, cfg.min_token_len))
+    counts = _count_in_lanes(textpipe.tokenize_documents(filtered, cfg.min_token_len))
     stoplist: frozenset[str] = (
         ENGLISH_STOPWORDS if cfg.builtin_stopwords else frozenset()
     )
@@ -259,18 +381,20 @@ def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
 
     vocab = textpipe.build_vocabulary(counts, cfg.min_term_freq, stoplist)
     dtm = textpipe.build_dtm(counts, vocab)
-    textpipe.write_vocabulary_tsv(dtm.vocabulary, out / A_VOCAB)
-    textpipe.write_counts_tsv(dtm.rows, dtm.terms, dtm.csr, out / A_DTM)
-    ws[A_VOCAB], ws[A_DTM] = dtm.vocabulary, dtm
-    weighted = textpipe.weight_arrays(dtm, cfg.weighting)
-    textpipe.write_counts_tsv(dtm.rows, dtm.terms, weighted, out / A_WEIGHTED, "weight")
-
     uniq = textpipe.uniqueness_stats(counts)
     logger.info("ingest: %d of %d documents have no in-vocabulary token and are left out "
                 "of the DTM", len(dtm.pruned_rows), len(counts.doc_ids))
+    del counts
+    weighted = textpipe.weight_arrays(dtm, cfg.weighting)
+
+    ws[A_CORPUS] = filtered
+    ws[A_FILTER_REPORT] = dataclasses.asdict(filtered.provenance)
+    ws[A_VOCAB], ws[A_DTM] = dtm.vocabulary, dtm
     uniqueness = {**dataclasses.asdict(uniq), "ratio_of_means": uniq.ratio_of_means}
     ws[A_TOKEN_REPORT] = {"uniqueness": uniqueness, "pruned_documents": list(dtm.pruned_rows)}
-    artifacts.write_json(out / A_TOKEN_REPORT, ws[A_TOKEN_REPORT])
+    ws.writer = _fork(_write_ingest, ws, dtm, weighted)
+    if standalone:
+        ws.join_writer()
 
 
 def _trend_series(cfg: RunConfig, series: stats_mod.YearlyCounts):
@@ -464,6 +588,8 @@ def _sha256(path: Path) -> str:
 def run_pipeline(cfg: RunConfig) -> Path:
     """Run every stage in order and write ``manifest.json``.
 
+    The writer that ingest leaves running is joined before the manifest is
+    written, also when a stage fails; an error of the writer is ingest's.
     On stage failure the manifest is still written (status ``failed``
     plus the failing stage and message) and the exception propagates.
     Returns the output directory.
@@ -491,12 +617,21 @@ def run_pipeline(cfg: RunConfig) -> Path:
                 }
             )
             logger.info("stage %s finished", name)
+        name = "ingest"
+        ws.join_writer()
     except Exception as exc:
+        error = exc
+        try:
+            ws.join_writer()  # a later stage failed while the writer ran
+        except Exception as writer_error:
+            name, error = "ingest", writer_error
         manifest["status"] = "failed"
         manifest["failed_stage"] = name
-        manifest["error"] = f"{type(exc).__name__}: {exc}"
+        manifest["error"] = f"{type(error).__name__}: {error}"
         artifacts.write_json(out / A_MANIFEST, manifest)
-        raise
+        raise error
+    finally:
+        ws.join_writer()
     model = ws[A_CA_MODEL]
     manifest["summary"] = {
         "documents": ws[A_STATS]["documents"],

@@ -1,18 +1,20 @@
 """Abstract text processing: tokens, stopwords, vocabulary and the
 sparse document-term matrix, plus the pluggable weighting schemes.
 
-``tokenize_documents`` keeps one string object per distinct token, which
-every stream that holds the token points to. The tokenized corpus is
-counted once, by ``count_terms``: it gives every distinct token an integer
-column, in order of first appearance, and builds the per-document counts,
-a :class:`TermCounts`, a block of streams at a time, so no array holds an
-entry per token of the corpus. Every later step reads those counts instead
-of the tokens: ``auto_stop_terms`` reads document frequencies (column
-nnz), ``build_vocabulary`` reads totals and document frequencies (column
-sums and nnz) and skips stoplisted columns, ``build_dtm`` selects the
-vocabulary's columns and prunes the rows left empty, and
-``uniqueness_stats`` reads token and distinct-term counts (row sums and row
-nnz). The built structures are immutable and safe to share.
+``tokenize_documents`` holds no tokens: it tokenizes an abstract each time
+its stream is read. The streams are counted once, by ``count_terms``: it
+gives every distinct token an integer column, in order of first
+appearance, and builds the per-document counts, a :class:`TermCounts`,
+reading a block of streams at a time, so neither the streams nor an array
+with an entry per token of the corpus is ever held. ``merge_counts`` stacks
+the counts of consecutive ranges of streams into the counts of all of them.
+Every later step reads those counts instead of the tokens:
+``auto_stop_terms`` reads document frequencies (column nnz),
+``build_vocabulary`` reads totals and document frequencies (column sums and
+nnz) and skips stoplisted columns, ``build_dtm`` selects the vocabulary's
+columns and prunes the rows left empty, and ``uniqueness_stats`` reads token
+and distinct-term counts (row sums and row nnz). The built structures are
+immutable and safe to share.
 
 Counts and weights are held as one kind of sparse matrix from tokens to
 artifacts: a :class:`Csr`, NumPy arrays in canonical compressed-sparse-row
@@ -30,17 +32,18 @@ from __future__ import annotations
 import itertools
 import re
 import unicodedata
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import artifacts
-from .corpus import Corpus
+from .corpus import Corpus, Document
 from .errors import (
     ConfigError,
     DegenerateCorpusError,
@@ -66,6 +69,7 @@ __all__ = [
     "tokenize_documents",
     "load_stoplist",
     "count_terms",
+    "merge_counts",
     "auto_stop_terms",
     "remove_stopwords",
     "uniqueness_stats",
@@ -138,9 +142,12 @@ def tokenize(text: str, min_len: int = DEFAULT_MIN_TOKEN_LEN) -> list[str]:
     composed; a mark that has no composed form stays attached to its
     letter, such as the dot above that ``lower()`` leaves on ``"İ"``
     (``"İstanbul"`` gives ``["i\\u0307stanbul"]``)."""
+    runs = _RUN.findall(_normalize(text))
+    if "".join(runs).isalpha():  # the common case: every run is all letters
+        return [run for run in runs if len(run) >= min_len]
     out: list[str] = []
-    for run in _RUN.findall(_normalize(text)):
-        if run.isalpha():  # the common case: the run is already all letters
+    for run in runs:
+        if run.isalpha():
             if len(run) >= min_len:
                 out.append(run)
         else:
@@ -148,20 +155,37 @@ def tokenize(text: str, min_len: int = DEFAULT_MIN_TOKEN_LEN) -> list[str]:
     return out
 
 
+class _Streams(Sequence[TokenStream]):
+    """The token streams of documents, each tokenized when it is read: a
+    slice is the streams of a slice of the documents, and no stream is
+    kept."""
+
+    def __init__(self, documents: Sequence[Document], min_len: int) -> None:
+        self._documents, self._min_len = documents, min_len
+
+    def __len__(self) -> int:
+        return len(self._documents)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Streams(self._documents[i], self._min_len)
+        return self._stream(self._documents[i])
+
+    def __iter__(self) -> Iterator[TokenStream]:
+        return map(self._stream, self._documents)
+
+    def _stream(self, doc: Document) -> TokenStream:
+        return TokenStream(doc.id, tuple(tokenize(doc.abstract, self._min_len)))
+
+
 def tokenize_documents(
     corpus: Corpus, min_len: int = DEFAULT_MIN_TOKEN_LEN
-) -> list[TokenStream]:
-    """Tokenize every abstract of the corpus, in corpus order.
+) -> Sequence[TokenStream]:
+    """The token stream of every abstract of the corpus, in corpus order.
 
-    Equal tokens are one string object across all the streams: a stream
-    holds pointers to the corpus's distinct tokens, not a string per
-    occurrence."""
-    canonical: dict[str, str] = {}
-    streams = []
-    for doc in corpus.documents:
-        tokens = tokenize(doc.abstract, min_len)
-        streams.append(TokenStream(doc.id, tuple(map(canonical.setdefault, tokens, tokens))))
-    return streams
+    The streams are read, not held: each read of a stream tokenizes its
+    abstract again, so iterating them holds one stream at a time."""
+    return _Streams(corpus.documents, min_len)
 
 
 def load_stoplist(path: str | Path) -> frozenset[str]:
@@ -246,39 +270,83 @@ class TermCounts:
 _BLOCK_STREAMS = 1024
 
 
-def count_terms(streams: Sequence[TokenStream]) -> TermCounts:
+def count_terms(streams: Iterable[TokenStream]) -> TermCounts:
     """The one counting pass over the tokens: every distinct token's column
     (in order of first appearance) and its count in each stream, one row
     per stream.
 
-    The streams are counted ``_BLOCK_STREAMS`` at a time, so no array holds
-    an entry per token of the corpus: a block's tokens become int32 column
-    ids, sorted and summed per stream, and the row pointers are filled as
-    each block is counted. The blocks' distinct ids and counts are
-    concatenated once, into the int32 indices and int64 data."""
+    Each stream's tokens become int32 column ids, one dict lookup each, as
+    the stream is read, so no stream is held beyond its turn. The ids of
+    ``_BLOCK_STREAMS`` streams at a time are sorted and summed per stream,
+    so no array holds an entry per token of the corpus. The blocks'
+    distinct ids, counts and row lengths are concatenated once, into the
+    int32 indices, int64 data and int32 row pointers."""
     column: dict[str, int] = defaultdict(itertools.count().__next__)
+    doc_ids: list[str] = []
     indices, data = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
-    indptr = np.zeros(len(streams) + 1, np.int32)
-    for start in range(0, len(streams), _BLOCK_STREAMS):
-        block = streams[start : start + _BLOCK_STREAMS]
-        lengths = [len(s.tokens) for s in block]
-        tokens = itertools.chain.from_iterable(s.tokens for s in block)
-        ids = np.fromiter(map(column.__getitem__, tokens), np.int32, sum(lengths))
+    row_nnz = [np.empty(0, np.int64)]
+    streams = iter(streams)
+    while True:
+        ids, lengths = array("i"), []
+        for stream in itertools.islice(streams, _BLOCK_STREAMS):
+            doc_ids.append(stream.doc_id)
+            lengths.append(len(stream.tokens))
+            ids.extend(map(column.__getitem__, stream.tokens))
+        if not lengths:
+            break
         # One int64 key per token, its stream's row above its column, so the
         # sorted distinct keys are the block's rows in canonical CSR order.
-        rows = np.repeat(np.arange(len(block), dtype=np.int64), lengths)
-        keys, counts = np.unique((rows << 32) | ids, return_counts=True)
+        rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        keys, counts = np.unique((rows << 32) | np.frombuffer(ids, np.intc), return_counts=True)
         indices.append((keys & 0xFFFFFFFF).astype(np.int32))
         data.append(counts.astype(np.int32))
-        row_nnz = np.bincount(keys >> 32, minlength=len(block))
-        indptr[start + 1 : start + len(block) + 1] = indptr[start] + np.cumsum(row_nnz)
+        row_nnz.append(np.bincount(keys >> 32, minlength=len(lengths)))
+    indptr = np.zeros(len(doc_ids) + 1, np.int32)
+    np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
     csr = Csr(
         indptr,
         np.concatenate(indices),
         np.concatenate(data, dtype=np.int64),
-        (len(streams), len(column)),
+        (len(doc_ids), len(column)),
     )
-    return TermCounts(tuple(s.doc_id for s in streams), dict(column), csr)
+    return TermCounts(tuple(doc_ids), dict(column), csr)
+
+
+def merge_counts(parts: Sequence[TermCounts]) -> TermCounts:
+    """The counts of the parts' streams taken in order, exactly as
+    :func:`count_terms` gives them for all those streams at once.
+
+    A token keeps its column when an earlier part has it and gets the next
+    new column otherwise, so the columns stay in order of first appearance.
+    Each part's cells are copied into the merged arrays through that map,
+    and where it reorders a part's columns, the part's rows are re-sorted
+    by column ``_BLOCK_STREAMS`` rows at a time."""
+    column: dict[str, int] = {}
+    n_rows = sum(part.csr.shape[0] for part in parts)
+    indptr = np.zeros(n_rows + 1, np.int32)
+    indices = np.empty(sum(part.csr.indices.size for part in parts), np.int32)
+    data = np.empty(indices.size, np.int64)
+    row = cell = 0
+    for part in parts:
+        csr = part.csr
+        remap = np.fromiter(
+            (column.setdefault(t, len(column)) for t in part.column), np.int32, len(part.column)
+        )
+        cells = slice(cell, cell + csr.indices.size)
+        np.take(remap, csr.indices, out=indices[cells])
+        data[cells] = csr.data
+        if (remap[1:] < remap[:-1]).any():
+            for start in range(0, csr.shape[0], _BLOCK_STREAMS):
+                ptr = csr.indptr[start : start + _BLOCK_STREAMS + 1] + cell
+                block = slice(ptr[0], ptr[-1])
+                rows = np.repeat(np.arange(ptr.size - 1, dtype=np.int64), np.diff(ptr))
+                order = np.argsort((rows << 32) | indices[block])
+                indices[block] = indices[block][order]
+                data[block] = data[block][order]
+        indptr[row + 1 : row + 1 + csr.shape[0]] = csr.indptr[1:] + cell
+        row, cell = row + csr.shape[0], cells.stop
+    doc_ids = tuple(itertools.chain.from_iterable(part.doc_ids for part in parts))
+    return TermCounts(doc_ids, column, Csr(indptr, indices, data, (n_rows, len(column))))
 
 
 def auto_stop_terms(counts: TermCounts, max_doc_fraction: float) -> frozenset[str]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -75,6 +76,15 @@ def mini_counts(mini_corpus):
 def mini_dtm(mini_counts):
     vocab = build_vocabulary(mini_counts, min_total_frequency=5, stoplist=ENGLISH_STOPWORDS)
     return build_dtm(mini_counts, vocab)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_a_test():
+    """``lexevo`` forks counting lanes and an artifact writer; every one of
+    them must have been reaped once the command returns."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -13,7 +13,9 @@ SciPy matrix operations (column slicing, COO conversion, ``sum``,
 ``eliminate_zeros``), where the package works on NumPy CSR arrays, the
 chi-square statistic is an explicit double loop, and ``corpus.csv`` is
 written by the standard library's ``csv.writer``, where the package quotes
-cells itself. Agreement between the two routes is evidence, not tautology.
+cells itself. The tokenizer's oracle is the per-run loop the package ran
+before it took all-letter documents whole; it shares the package's run
+pattern. Agreement between the two routes is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from typing import IO, Sequence
 
 import numpy as np
 from scipy import sparse
+
+from lexevo import textpipe
 
 SV_EPS = 1e-12
 
@@ -117,6 +121,20 @@ def quadratic_normal_equations(xs, ys) -> tuple[float, float, float]:
     rhs = design.T @ ys
     c2, c1, c0 = np.linalg.solve(lhs, rhs)
     return float(c2), float(c1), float(c0)
+
+
+def per_run_tokenize(text: str, min_len: int = 2) -> list[str]:
+    """``textpipe.tokenize`` as it was before its whole-document fast path:
+    every candidate run is checked on its own, and a run that is not all
+    letters is split into its letter fragments."""
+    out: list[str] = []
+    for run in textpipe._RUN.findall(textpipe._normalize(text)):
+        if run.isalpha():
+            if len(run) >= min_len:
+                out.append(run)
+        else:
+            out.extend(f for f in textpipe._letter_fragments(run) if len(f) >= min_len)
+    return out
 
 
 def one_pass_count_terms(streams) -> tuple[dict, sparse.csr_matrix]:

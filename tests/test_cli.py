@@ -1,8 +1,10 @@
 import csv
 import importlib.util
 import json
+import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from lexevo.ca import (
     write_model_json,
 )
 from lexevo.cli import main
+from lexevo.errors import DataError, DegenerateCorpusError, DependencyError
 from lexevo.pipeline import ARTIFACTS
 from lexevo.stopwords import ENGLISH_STOPWORDS
 from lexevo.textpipe import tokenize_documents, uniqueness_stats, weight_matrix
@@ -504,6 +507,119 @@ def test_failed_run_still_writes_a_manifest(tmp_path, write_mini_config):
     assert "error" in manifest
 
 
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_counting_in_lanes_gives_the_artifacts_of_one_lane(
+    tmp_path, write_mini_config, monkeypatch, lanes
+):
+    monkeypatch.setattr(textpipe, "_BLOCK_STREAMS", 8)  # 55 documents: 7 blocks
+    forks = _count_calls(monkeypatch, pipeline, "_fork")
+    outs = {}
+    for cpus in (1, lanes):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        outs[cpus] = tmp_path / f"lanes-{cpus}"
+        config = write_mini_config(outs[cpus], auto_stop_df=0.5)
+        assert main(["run", "--config", str(config)]) == 0
+    # Each run forks its writer; the second forks a child per lane beyond the first.
+    forked = [fn.__name__ for fn, *_ in forks]
+    assert forked == ["_write_ingest", *["count_terms"] * (lanes - 1), "_write_ingest"]
+    assert _artifact_bytes(outs[lanes]) == _artifact_bytes(outs[1])
+
+
+def test_without_fork_the_lanes_and_the_writer_run_in_the_process(
+    tmp_path, write_mini_config, monkeypatch
+):
+    monkeypatch.setattr(textpipe, "_BLOCK_STREAMS", 8)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
+    forked = tmp_path / "forked"
+    assert main(["run", "--config", str(write_mini_config(forked))]) == 0
+    monkeypatch.delattr(pipeline.os, "fork")
+    inline = tmp_path / "inline"
+    assert main(["run", "--config", str(write_mini_config(inline))]) == 0
+    assert _artifact_bytes(inline) == _artifact_bytes(forked)
+
+
+def test_a_child_that_ends_without_its_outcome_is_an_error():
+    ok, error = pipeline._fork(os._exit, 1)()
+    assert not ok
+    assert isinstance(error, ChildProcessError)
+
+
+_WRITER_ERRORS = [
+    (DataError("the disk said no"), 2),
+    (DependencyError("the disk said no"), 1),
+    (OSError(28, "No space left on device"), 3),
+]
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+@pytest.mark.parametrize(
+    "error, code", _WRITER_ERRORS, ids=[type(e).__name__ for e, _ in _WRITER_ERRORS]
+)
+def test_a_failing_writer_gives_its_exit_code_and_leaves_no_ingest_artifact(
+    tmp_path, write_mini_config, monkeypatch, command, error, code
+):
+    write_counts_tsv = textpipe.write_counts_tsv
+
+    def failing(rows, terms, matrix, dest, *args):
+        if Path(dest).name == "weighted.tsv":  # after corpus.csv, vocabulary.tsv and dtm.tsv
+            raise error
+        return write_counts_tsv(rows, terms, matrix, dest, *args)
+
+    monkeypatch.setattr(textpipe, "write_counts_tsv", failing)
+    out = tmp_path / "out"
+    config = write_mini_config(out)
+    assert main([command, "--config", str(config)]) == code
+    assert [name for name in ARTIFACTS["ingest"] if (out / name).exists()] == []
+    if command == "run":
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["failed_stage"] == "ingest"
+        assert manifest["error"] == f"{type(error).__name__}: {error}"
+    for stage in ALL_STAGES[1:]:
+        assert main([stage, "--config", str(config)]) == 1, stage
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+def test_weighting_a_single_document_fails_ingest_with_exit_2(
+    tmp_path, write_mini_config, command
+):
+    # tf-idf is undefined for one document: ingest stops before its writer
+    # starts, and leaves no artifact.
+    source = _write_export(tmp_path / "export.csv", ["alpha alpha alpha alpha alpha beta"])
+    extra = {"schema.id": "EID", "weighting": "tf-idf"}
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_mini_config(out, source=source, **extra))]) == 2
+    assert [name for name in ARTIFACTS["ingest"] if (out / name).exists()] == []
+    if command == "run":
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["failed_stage"] == "ingest"
+        assert manifest["error"].startswith("DegenerateCorpusError: tf-idf")
+
+
+def test_a_stage_failing_while_the_writer_runs_still_waits_for_the_writer(
+    tmp_path, write_mini_config, monkeypatch
+):
+    write_counts_tsv = textpipe.write_counts_tsv
+
+    def slow(*args):
+        time.sleep(0.5)
+        return write_counts_tsv(*args)
+
+    def broken(*args, **kwargs):
+        raise DegenerateCorpusError("no map today")
+
+    monkeypatch.setattr(textpipe, "write_counts_tsv", slow)
+    monkeypatch.setattr(pipeline.ca_mod, "compute_ca", broken)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_mini_config(out))]) == 2
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["failed_stage"] == "ca"
+    assert manifest["error"] == "DegenerateCorpusError: no map today"
+    assert all((out / name).is_file() for name in ARTIFACTS["ingest"])
+    # The manifest was written once the writer had written its last artifact.
+    written = {name: (out / name).stat().st_mtime_ns for name in ("manifest.json", "token_report.json")}
+    assert written["manifest.json"] >= written["token_report.json"]
+
+
 def test_stdout_stays_clean_and_logs_go_to_stderr(tmp_path, write_mini_config):
     out = tmp_path / "out"
     config = write_mini_config(out)
@@ -558,6 +674,15 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def _counted_once(merged: list, corpus) -> bool:
+    """Whether the recorded ``merge_counts`` calls are one, whose parts
+    count every document of ``corpus`` once, in order. The parts are
+    counted in this process and in forked children, where a recorded call
+    would not show; each part reaches the merge here."""
+    ids = [d.id for d in corpus.documents]
+    return len(merged) == 1 and [d for part in merged[0][0] for d in part.doc_ids] == ids
+
+
 def _write_export(path: Path, abstracts: list[str], first_year: int = 2010) -> Path:
     """A small export in the bundled corpus's layout plus an ``EID`` id
     column (map it with ``schema.id = EID``); one document per year from
@@ -578,15 +703,15 @@ def test_stoplist_and_auto_stop_df_vocabulary_matches_a_counter_oracle(
     stoplist.write_text("# project terms\nRegistry\nwarehouse\n", encoding="utf-8")
     extra = {"stoplists": stoplist, "auto_stop_df": 0.5}
     full, staged = tmp_path / "full", tmp_path / "staged"
-    counted = _count_calls(monkeypatch, textpipe, "count_terms")
+    merged = _count_calls(monkeypatch, textpipe, "merge_counts")
     stopped = _count_calls(monkeypatch, textpipe, "remove_stopwords")
     assert main(["run", "--config", str(write_mini_config(full, **extra))]) == 0
-    assert len(counted) == 1
+    assert _counted_once(merged, mini_corpus)
     staged_config = write_mini_config(staged, **extra)
     for stage in ALL_STAGES:
         assert main([stage, "--config", str(staged_config)]) == 0
     assert _artifact_bytes(full) == _artifact_bytes(staged)
-    assert len(counted) == 2  # once more, by the staged ingest
+    assert _counted_once(merged[1:], mini_corpus)  # once more, by the staged ingest
     assert stopped == []
 
     token_lists = [s.tokens for s in tokenize_documents(mini_corpus, 2)]
@@ -614,11 +739,11 @@ def test_stats_reads_uniqueness_from_ingest_without_tokenizing(
 ):
     tokenize = textpipe.tokenize_documents
     calls = _count_calls(monkeypatch, textpipe, "tokenize_documents")
-    counted = _count_calls(monkeypatch, textpipe, "count_terms")
+    merged = _count_calls(monkeypatch, textpipe, "merge_counts")
     full = tmp_path / "full"
     assert main(["run", "--config", str(write_mini_config(full))]) == 0
     assert len(calls) == 1
-    assert len(counted) == 1
+    assert _counted_once(merged, mini_corpus)
 
     staged = tmp_path / "staged"
     config = write_mini_config(staged)

@@ -35,6 +35,7 @@ from lexevo.textpipe import (
     dtm_from_triplets,
     group_sum,
     load_stoplist,
+    merge_counts,
     read_counts_tsv,
     read_vocabulary_tsv,
     remove_stopwords,
@@ -122,6 +123,15 @@ def test_tokenize_matches_a_code_point_scan(text):
     assert tokenize(text) == _scanned_tokens(text)
 
 
+@given(st.text(alphabet=st.one_of(st.sampled_from(_TRICKY + "ab \u0301\u00b9"), st.characters()),
+               max_size=80), st.integers(1, 4))
+@example("İstanbul", 2)
+@example(unicodedata.normalize("NFD", "naïve año"), 2)
+@example("covid19 x\u00b2y \u0301ab", 1)
+def test_tokenize_takes_an_all_letter_document_whole_as_the_per_run_loop_would(text, min_len):
+    assert tokenize(text, min_len) == oracles.per_run_tokenize(text, min_len)
+
+
 def test_tokenize_min_length():
     assert tokenize("a of the be longer", min_len=3) == ["the", "longer"]
     assert tokenize("a b c", min_len=1) == ["a", "b", "c"]
@@ -155,16 +165,23 @@ def _abstracts_corpus(abstracts):
     return Corpus(docs, FilterReport(len(docs), 0, 0, len(docs)))
 
 
-def test_tokenize_documents_shares_one_string_per_distinct_token():
+def test_tokenize_documents_tokenizes_each_abstract_when_its_stream_is_read(monkeypatch):
     corpus = _abstracts_corpus(["Alpha beta, ALPHA.", "beta gamma alpha", "Gamma"])
+    calls = []
+    monkeypatch.setattr(textpipe, "tokenize", lambda text, n: calls.append(text) or tokenize(text, n))
     streams = tokenize_documents(corpus)
-    assert [s.tokens for s in streams] == [
-        ("alpha", "beta", "alpha"), ("beta", "gamma", "alpha"), ("gamma",)
+    assert calls == []
+    expected = [
+        TokenStream("d0", ("alpha", "beta", "alpha")),
+        TokenStream("d1", ("beta", "gamma", "alpha")),
+        TokenStream("d2", ("gamma",)),
     ]
-    by_text = {}
-    for stream in streams:
-        for token in stream.tokens:
-            assert by_text.setdefault(token, token) is token
+    assert len(streams) == 3
+    assert list(streams) == list(streams) == expected
+    assert len(calls) == 6
+    assert list(streams[1:]) == expected[1:]
+    assert streams[-1] == expected[-1]
+    assert list(streams[5:]) == []
 
 
 def test_tokenize_documents_holds_pointers_not_a_string_per_token():
@@ -255,6 +272,45 @@ def test_block_counting_equals_the_one_pass_count(token_lists, block):
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
     assert matrix.has_canonical_format == expected.has_canonical_format
+
+
+def _assert_same_counts(got, want):
+    assert list(got.column.items()) == list(want.column.items())
+    assert type(got.column) is dict
+    assert got.doc_ids == want.doc_ids
+    assert got.csr.shape == want.csr.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.csr, name), getattr(want.csr, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(["aa", "bb", "cc", "dd", "ee", "ff"]), max_size=7),
+             max_size=14),
+    st.lists(st.integers(0, 14), max_size=4),
+    st.integers(1, 5),
+)
+@example([], [], 1)  # no streams at all
+@example([[], []], [0, 1, 2], 2)  # empty parts and a part with no tokens
+@example([["aa", "bb"], ["cc", "aa"], ["dd"], ["bb", "dd", "ee"]], [1, 3], 1)  # later first sightings
+def test_merge_counts_of_any_split_equals_counting_all_streams(token_lists, cuts, block):
+    streams = _streams(*token_lists)
+    bounds = [0, *sorted(min(c, len(streams)) for c in cuts), len(streams)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textpipe, "_BLOCK_STREAMS", block)
+        parts = [count_terms(iter(streams[a:b])) for a, b in zip(bounds, bounds[1:])]
+        merged = merge_counts(parts)
+        whole = count_terms(streams)
+    _assert_same_counts(merged, whole)
+    column, expected = oracles.one_pass_count_terms(streams)
+    assert list(merged.column.items()) == list(column.items())
+    assert (merged.matrix != expected).nnz == 0
+
+
+def test_merge_counts_of_no_parts_is_the_count_of_no_streams():
+    _assert_same_counts(merge_counts([]), count_terms([]))
 
 
 def test_auto_stop_terms_threshold():
