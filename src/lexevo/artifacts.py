@@ -2,7 +2,9 @@
 
 It is also the one module that turns bytes into text and text into bytes,
 for every file the package reads: the export, the config, stoplists and
-the artifacts. Text is UTF-8 with ``\\n`` line endings; a leading
+the artifacts, and for the tokenizer, which scans an abstract that
+Windows-1252 encodes as its bytes (:func:`cp1252_bytes`,
+:func:`cp1252_text`). Text is UTF-8 with ``\\n`` line endings; a leading
 byte-order mark is not text. Bytes that are not UTF-8 raise
 :class:`EncodingError` naming the file and the offset of the first bad
 byte. A write goes to a temporary file beside the destination, which
@@ -53,6 +55,21 @@ def read_text(src: str | Path) -> str:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise _not_utf8(src, len(data), exc) from None
+
+
+def cp1252_bytes(text: str) -> bytes | None:
+    """The Windows-1252 (cp1252) bytes of ``text``, one per character, or
+    ``None`` if it holds a character that code page lacks."""
+    try:
+        return text.encode("cp1252")
+    except UnicodeEncodeError:
+        return None
+
+
+def cp1252_text(data: bytes) -> str:
+    """The text of Windows-1252 bytes; :class:`UnicodeDecodeError` for the
+    five bytes that code page leaves undefined."""
+    return data.decode("cp1252")
 
 
 def text_lines(source: IO[bytes], name: str | Path) -> Iterator[str]:

@@ -1,13 +1,22 @@
 """Abstract text processing: tokens, stopwords, vocabulary and the
 sparse document-term matrix, plus the pluggable weighting schemes.
 
+``tokenize`` lowercases a text, then composes it to NFC, and splits it into
+runs of letters and the combining marks that follow them. A text that
+Windows-1252 (cp1252) encodes, as most abstracts do, is scanned as those
+bytes instead: one ``bytes.translate`` lowercases the letters and blanks
+every other byte, and the words left are its tokens, the same ones.
+
 ``tokenize_documents`` holds no tokens: it tokenizes an abstract each time
 its stream is read. The streams are counted once, by ``count_terms``: it
 gives every distinct token an integer column, in order of first
 appearance, and builds the per-document counts, a :class:`TermCounts`,
 reading a block of streams at a time, so neither the streams nor an array
-with an entry per token of the corpus is ever held. ``merge_counts`` stacks
-the counts of consecutive ranges of streams into the counts of all of them.
+with an entry per token of the corpus is ever held. Given the streams of
+``tokenize_documents``, it reads the abstracts instead and looks each
+cp1252 token up by its bytes, so it makes no string per token.
+``merge_counts`` stacks the counts of consecutive ranges of streams into
+the counts of all of them.
 Every later step reads those counts instead of the tokens:
 ``auto_stop_terms`` reads document frequencies (column nnz),
 ``build_vocabulary`` reads totals and document frequencies (column sums and
@@ -121,8 +130,31 @@ def _letter_fragments(run: str) -> Iterator[str]:
 
 
 def _normalize(text: str) -> str:
-    """NFC, then lowercase: the one normalization of tokens and stoplists."""
-    return unicodedata.normalize("NFC", text).lower()
+    """Lowercase, then NFC: the one normalization of tokens and stoplists.
+    In this order a lowercase letter and a mark that compose (``"J\\u030c"``
+    lowercases to ``"j\\u030c"``, which is ``"\\u01f0"``) give one token."""
+    return unicodedata.normalize("NFC", text.lower())
+
+
+def _letter_table() -> bytes:
+    """256 bytes: the Windows-1252 (cp1252) byte of a letter maps to the
+    byte of its lowercase, and every other byte to a space."""
+    table = bytearray(b" " * 256)
+    for byte in range(256):
+        try:
+            ch = artifacts.cp1252_text(bytes([byte]))
+        except UnicodeDecodeError:  # one of the five bytes cp1252 leaves undefined
+            continue
+        if ch.isalpha():
+            table[byte] = artifacts.cp1252_bytes(ch.lower())[0]
+    return bytes(table)
+
+
+# cp1252 holds no combining mark, every cp1252 text is NFC and each cp1252
+# letter lowercases to one cp1252 letter, so a text that encodes to cp1252
+# normalizes byte by byte, and its tokens are its maximal runs of letters:
+# the words of its bytes translated through this table.
+_TABLE = _letter_table()
 
 
 @dataclass(frozen=True)
@@ -133,26 +165,62 @@ class TokenStream:
     tokens: tuple[str, ...]
 
 
-def tokenize(text: str, min_len: int = DEFAULT_MIN_TOKEN_LEN) -> list[str]:
-    """Normalize to NFC, then ``str.lower()``; split on anything that is
-    neither a Unicode letter nor a combining mark (category M) following
-    one, and drop tokens shorter than ``min_len`` code points. Order
-    preserved; empty input gives an empty list. NFC composes a letter with
-    its combining accent, so decomposed (NFD) text gives the same tokens as
-    composed; a mark that has no composed form stays attached to its
-    letter, such as the dot above that ``lower()`` leaves on ``"İ"``
-    (``"İstanbul"`` gives ``["i\\u0307stanbul"]``)."""
+def _regex_tokens(text: str) -> list[str]:
+    """The tokens of any text, of every length: its normalized candidate
+    runs, each split into letter fragments unless it is all letters."""
     runs = _RUN.findall(_normalize(text))
     if "".join(runs).isalpha():  # the common case: every run is all letters
-        return [run for run in runs if len(run) >= min_len]
+        return runs
     out: list[str] = []
     for run in runs:
         if run.isalpha():
-            if len(run) >= min_len:
-                out.append(run)
+            out.append(run)
         else:
-            out.extend(f for f in _letter_fragments(run) if len(f) >= min_len)
+            out.extend(_letter_fragments(run))
     return out
+
+
+def _scan(text: str) -> bytes | list[str]:
+    """The one tokenizer, before the length filter. A text that cp1252
+    encodes is scanned as its bytes, with one translate: its tokens are the
+    words of the bytes returned. Any other text gives its tokens through
+    the regex. Either way a token's length is its length in code points."""
+    raw = artifacts.cp1252_bytes(text)
+    return _regex_tokens(text) if raw is None else raw.translate(_TABLE)
+
+
+def _keys(text: str) -> Sequence[bytes | str]:
+    """The tokens of ``text``, of every length, each keyed by its cp1252
+    bytes, or by the token itself if it has none, so a word has one key in
+    either kind of text."""
+    scanned = _scan(text)
+    if isinstance(scanned, bytes):
+        return scanned.split()
+    return [artifacts.cp1252_bytes(token) or token for token in scanned]
+
+
+def _term(key: bytes | str) -> str:
+    """The token a key of :func:`_keys` stands for."""
+    return key if isinstance(key, str) else artifacts.cp1252_text(key)
+
+
+def tokenize(text: str, min_len: int = DEFAULT_MIN_TOKEN_LEN) -> list[str]:
+    """Lowercase with ``str.lower()``, then normalize to NFC; split on
+    anything that is neither a Unicode letter nor a combining mark
+    (category M) following one, and drop tokens shorter than ``min_len``
+    code points. Order preserved; empty input gives an empty list. NFC
+    composes a letter with its combining accent, so decomposed (NFD) text
+    gives the same tokens as composed; a mark that has no composed form
+    stays attached to its letter, such as the dot above that ``lower()``
+    leaves on ``"İ"`` (``"İstanbul"`` gives ``["i\\u0307stanbul"]``).
+
+    A text that Windows-1252 encodes (Latin-1 plus curly quotes, dashes,
+    the euro sign and a few letters) is tokenized from its bytes, which
+    gives the same tokens: see ``_TABLE``."""
+    scanned = _scan(text)
+    if isinstance(scanned, bytes):
+        scanned = artifacts.cp1252_text(scanned).split()
+    return [token for token in scanned if len(token) >= min_len]
 
 
 class _Streams(Sequence[TokenStream]):
@@ -280,36 +348,62 @@ def count_terms(streams: Iterable[TokenStream]) -> TermCounts:
     ``_BLOCK_STREAMS`` streams at a time are sorted and summed per stream,
     so no array holds an entry per token of the corpus. The blocks'
     distinct ids, counts and row lengths are concatenated once, into the
-    int32 indices, int64 data and int32 row pointers."""
-    column: dict[str, int] = defaultdict(itertools.count().__next__)
+    int32 indices, int64 data and int32 row pointers.
+
+    Given the streams of :func:`tokenize_documents`, or a slice of them,
+    the abstracts are counted without building a stream: each token's key
+    (its cp1252 bytes where it has them, see :func:`tokenize`) is looked up
+    as it is scanned, whatever its length, and the columns of keys shorter
+    than the streams' ``min_len`` are dropped from each block's counts.
+    The kept columns are decoded once, at the end."""
+    if isinstance(streams, _Streams):
+        pairs = ((doc.id, _keys(doc.abstract)) for doc in streams._documents)
+        min_len = streams._min_len
+    else:
+        pairs, min_len = ((stream.doc_id, stream.tokens) for stream in streams), 0
+    column: dict[bytes | str, int] = defaultdict(itertools.count().__next__)
+    # Each column's index among the kept keys, or -1 for a key shorter than
+    # min_len, whose length is its token's (a cp1252 key has one byte per
+    # code point); a column's entry is added in the block that first sees it.
+    kept_id, kept_keys = np.empty(0, np.int64), []
     doc_ids: list[str] = []
     indices, data = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     row_nnz = [np.empty(0, np.int64)]
-    streams = iter(streams)
     while True:
         ids, lengths = array("i"), []
-        for stream in itertools.islice(streams, _BLOCK_STREAMS):
-            doc_ids.append(stream.doc_id)
-            lengths.append(len(stream.tokens))
-            ids.extend(map(column.__getitem__, stream.tokens))
+        for doc_id, keys in itertools.islice(pairs, _BLOCK_STREAMS):
+            doc_ids.append(doc_id)
+            lengths.append(len(keys))
+            ids.extend(map(column.__getitem__, keys))
         if not lengths:
             break
-        # One int64 key per token, its stream's row above its column, so the
-        # sorted distinct keys are the block's rows in canonical CSR order.
+        new = list(itertools.islice(column, kept_id.size, None))
+        kept = np.fromiter(map(len, new), np.int64, len(new)) >= min_len
+        kept_id = np.concatenate((kept_id, np.where(kept, np.cumsum(kept) + len(kept_keys) - 1, -1)))
+        kept_keys += itertools.compress(new, kept.tolist())
+        # One int64 cell per token, its stream's row above its column, so the
+        # sorted distinct cells are the block's rows in canonical CSR order;
+        # kept ids keep the order of the columns, so each row stays sorted.
         rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-        keys, counts = np.unique((rows << 32) | np.frombuffer(ids, np.intc), return_counts=True)
-        indices.append((keys & 0xFFFFFFFF).astype(np.int32))
-        data.append(counts.astype(np.int32))
-        row_nnz.append(np.bincount(keys >> 32, minlength=len(lengths)))
+        cells, counts = np.unique((rows << 32) | np.frombuffer(ids, np.intc), return_counts=True)
+        columns = kept_id[cells & 0xFFFFFFFF]
+        keep = columns >= 0
+        indices.append(columns[keep].astype(np.int32))
+        data.append(counts[keep].astype(np.int32))
+        row_nnz.append(np.bincount(cells[keep] >> 32, minlength=len(lengths)))
+    # The keys are decoded, and freed, before the blocks' arrays are joined,
+    # so the two never take memory at once.
+    terms = {_term(key): j for j, key in enumerate(kept_keys)}
+    del column, kept_keys
     indptr = np.zeros(len(doc_ids) + 1, np.int32)
     np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
     csr = Csr(
         indptr,
         np.concatenate(indices),
         np.concatenate(data, dtype=np.int64),
-        (len(doc_ids), len(column)),
+        (len(doc_ids), len(terms)),
     )
-    return TermCounts(tuple(doc_ids), dict(column), csr)
+    return TermCounts(tuple(doc_ids), terms, csr)
 
 
 def merge_counts(parts: Sequence[TermCounts]) -> TermCounts:

@@ -103,7 +103,7 @@ def _scanned_tokens(text: str, min_len: int = 2) -> list[str]:
     """Reference tokenizer, one code point at a time: a letter starts or
     extends a token, a combining mark extends one, anything else ends it."""
     tokens, current = [], ""
-    for ch in unicodedata.normalize("NFC", text).lower():
+    for ch in unicodedata.normalize("NFC", text.lower()):
         if ch.isalpha() or (current and unicodedata.category(ch).startswith("M")):
             current += ch
         else:
@@ -148,10 +148,30 @@ def test_tokenize_is_idempotent_on_its_own_output(text):
     assert tokenize(" ".join(once)) == once
 
 
+# A capital and a mark that do not compose, while the lowercase letter and
+# the same mark do: lowercasing after NFC would leave them decomposed.
+_COMPOSE_ONCE_LOWERCASED = [
+    "J\u030c", "T\u0308", "W\u030a", "Y\u030a", "H\u0331", "\u03aa\u0301", "\u03ab\u0301",
+    "\u03aa\u0300", "\u03ab\u0342", "\u0391\u0342", "\u03a9\u0342", "\u03a1\u0313",
+    "\u0386\u0345", "\u1fbc\u0301", "\u0130\u0327",
+]
+
+
+@pytest.mark.parametrize("pair", _COMPOSE_ONCE_LOWERCASED)
+def test_both_spellings_of_a_lowercased_composition_give_one_token(pair):
+    composed = unicodedata.normalize("NFC", pair.lower())
+    assert composed != pair.lower()
+    once = tokenize(pair + "unta")
+    assert once == tokenize(composed + "unta") == [composed + "unta"]
+    assert unicodedata.is_normalized("NFC", once[0])
+    assert tokenize(" ".join(once)) == once
+
+
 @given(st.text(max_size=200))
 def test_tokens_are_normalized(text):
     for token in tokenize(text):
         assert token == token.lower()
+        assert unicodedata.is_normalized("NFC", token)
         assert len(token) >= 2
         assert token[0].isalpha()
         assert all(c.isalpha() or unicodedata.category(c).startswith("M") for c in token)
@@ -204,6 +224,96 @@ def test_tokenize_documents_holds_pointers_not_a_string_per_token():
     n_tokens = sum(len(s.tokens) for s in streams)
     assert n_tokens == 600 * 200
     assert grown / n_tokens < 16
+
+
+# --- the Windows-1252 scan ---------------------------------------------------
+
+#: The 251 characters Windows-1252 encodes: every byte but the five it
+#: leaves undefined.
+_CP1252 = [bytes([b]).decode("cp1252") for b in range(256) if b not in b"\x81\x8d\x8f\x90\x9d"]
+
+
+def test_a_cp1252_text_normalizes_byte_by_byte():
+    assert len(_CP1252) == 251
+    for a in _CP1252:
+        assert unicodedata.category(a)[0] != "M"
+        assert unicodedata.is_normalized("NFC", a)
+        assert all(unicodedata.is_normalized("NFC", a + b) for b in _CP1252)
+        lower = a.lower()
+        assert len(lower) == 1 and len(lower.encode("cp1252")) == 1
+        byte = a.encode("cp1252")
+        want = lower.encode("cp1252") if a.isalpha() else b" "
+        assert byte.translate(textpipe._TABLE) == want, a
+    for undefined in b"\x81\x8d\x8f\x90\x9d":
+        assert textpipe._TABLE[undefined] == ord(" ")
+
+
+def _maybe_nfd(text: str, nfd: bool) -> str:
+    return unicodedata.normalize("NFD", text) if nfd else text
+
+
+# Characters Windows-1252 lacks: a capital that lowercases to a letter and a
+# mark, final sigma, a ligature, combining marks, the C1 controls cp1252
+# leaves out or maps elsewhere, superscripts and the ideographic space.
+_NOT_CP1252 = "İΣςﬁ\u0301\u0308\u0327\u0080\u0081\u008d\u008f\u0090\u009d\u2074\u207f\u3000"
+_MOSTLY_CP1252 = st.builds(
+    _maybe_nfd, st.text(alphabet=st.sampled_from(_CP1252 * 4 + list(_NOT_CP1252)), max_size=80),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300)
+@given(_MOSTLY_CP1252, st.integers(1, 4))
+@example("ÀÉÎÕÜ ŠŒŽŸ ƒ ªº µ ß Ÿe", 1)
+@example("naïve—“Œuvre” x²y 3€uro… TM™", 2)
+@example("J\u030cunta AÑO", 2)
+def test_tokenize_scans_a_cp1252_text_as_the_per_run_loop_would(text, min_len):
+    assert tokenize(text, min_len) == oracles.per_run_tokenize(text, min_len)
+
+
+# Words in cp1252 and out of it, some shorter than every min_len drawn, and
+# gaps that keep an abstract in cp1252 or take it out.
+_WORDS = ["a", "I", "ab", "AB", "Año", "año", "été", "e\u0301te\u0301", "NAÏVE", "naïve", "Œuvre",
+          "ﬁn", "İz", "Σοφία", "x²y", "€uro"]
+_GAPS = [" ", ", ", " — ", "1", "\u3000", "\u0081", " → "]
+_ABSTRACTS = st.lists(
+    st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_GAPS)), max_size=8).map(
+        lambda parts: "".join(word + gap for word, gap in parts)
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ABSTRACTS, st.integers(1, 4), st.integers(1, 5), st.lists(st.integers(0, 12), max_size=3))
+@example([], 2, 1, [])  # no abstracts
+@example(["", "a b", ""], 2, 2, [1])  # empty abstracts, and one of tokens below min_len only
+@example(["Año → I", "AÑO año été"], 2, 1, [1])  # a word first seen where cp1252 does not reach
+@example(["e\u0301te\u0301 ab", "ÉTÉ"], 3, 5, [])  # an NFD word, then its cp1252 spelling
+def test_counting_the_abstracts_equals_counting_their_streams(abstracts, min_len, block, cuts):
+    corpus = _abstracts_corpus(abstracts)
+    streams = [
+        TokenStream(doc.id, tuple(oracles.per_run_tokenize(doc.abstract, min_len)))
+        for doc in corpus.documents
+    ]
+    column, expected = oracles.one_pass_count_terms(streams)
+    lazy = tokenize_documents(corpus, min_len)
+    bounds = [0, *sorted(min(c, len(lazy)) for c in cuts), len(lazy)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textpipe, "_BLOCK_STREAMS", block)
+        whole = count_terms(lazy)
+        merged = merge_counts([count_terms(lazy[a:b]) for a, b in zip(bounds, bounds[1:])])
+    for counts in (whole, merged):
+        assert list(counts.column.items()) == list(column.items())
+        assert type(counts.column) is dict
+        assert counts.doc_ids == tuple(s.doc_id for s in streams)
+        matrix = counts.matrix
+        assert matrix.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(matrix, name), getattr(expected, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert matrix.has_canonical_format == expected.has_canonical_format
 
 
 # --- stopwords --------------------------------------------------------------
