@@ -2,8 +2,8 @@
 
 It is also the one module that turns bytes into text and text into bytes,
 for every file the package reads: the export, the config, stoplists and
-the artifacts, and for the tokenizer, which scans an abstract that
-Windows-1252 encodes as its bytes (:func:`cp1252_bytes`,
+the artifacts, and for the tokenizer, which scans an abstract whose
+letters Windows-1252 encodes as its bytes (:func:`cp1252_bytes`,
 :func:`cp1252_text`). Text is UTF-8 with ``\\n`` line endings; a leading
 byte-order mark is not text. Bytes that are not UTF-8 raise
 :class:`EncodingError` naming the file and the offset of the first bad
@@ -57,11 +57,12 @@ def read_text(src: str | Path) -> str:
         raise _not_utf8(src, len(data), exc) from None
 
 
-def cp1252_bytes(text: str) -> bytes | None:
-    """The Windows-1252 (cp1252) bytes of ``text``, one per character, or
-    ``None`` if it holds a character that code page lacks."""
+def cp1252_bytes(text: str, errors: str = "strict") -> bytes | None:
+    """The Windows-1252 (cp1252) bytes of ``text``, or ``None`` if it holds
+    a character that code page lacks and the encoding error handler named
+    ``errors`` raises for it."""
     try:
-        return text.encode("cp1252")
+        return text.encode("cp1252", errors)
     except UnicodeEncodeError:
         return None
 

@@ -2,10 +2,13 @@
 sparse document-term matrix, plus the pluggable weighting schemes.
 
 ``tokenize`` lowercases a text, then composes it to NFC, and splits it into
-runs of letters and the combining marks that follow them. A text that
-Windows-1252 (cp1252) encodes, as most abstracts do, is scanned as those
-bytes instead: one ``bytes.translate`` lowercases the letters and blanks
-every other byte, and the words left are its tokens, the same ones.
+runs of letters and the combining marks that follow them. A text whose
+letters and marks Windows-1252 (cp1252) encodes is scanned as those bytes
+instead, any other character of it (such as ``≥`` or a minus sign) taken
+as a space: one ``bytes.translate`` lowercases the letters and blanks
+every other byte, and the words left are its tokens, the same ones. A
+text with a letter or mark cp1252 lacks, such as a Greek letter, is
+tokenized by the regex.
 
 ``tokenize_documents`` holds no tokens: it tokenizes an abstract each time
 its stream is read. The streams are counted once, by ``count_terms``: it
@@ -13,8 +16,9 @@ gives every distinct token an integer column, in order of first
 appearance, and builds the per-document counts, a :class:`TermCounts`,
 reading a block of streams at a time, so neither the streams nor an array
 with an entry per token of the corpus is ever held. Given the streams of
-``tokenize_documents``, it reads the abstracts instead and looks each
-cp1252 token up by its bytes, so it makes no string per token.
+``tokenize_documents``, it reads the abstracts instead and looks the
+tokens of a text scanned as bytes up by their bytes, so it makes no string
+for them.
 ``merge_counts`` stacks the counts of consecutive ranges of streams into
 the counts of all of them.
 Every later step reads those counts instead of the tokens:
@@ -38,6 +42,7 @@ asks for one: ``TermCounts.matrix``, ``DocTermMatrix.counts`` and
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import re
 import unicodedata
@@ -180,27 +185,47 @@ def _regex_tokens(text: str) -> list[str]:
     return out
 
 
+def _blank_separators(error: UnicodeEncodeError) -> tuple[str, int]:
+    """Encoding error handler of :func:`_scan`: a run of characters that
+    cp1252 lacks becomes a space if none of them is a letter or a combining
+    mark, since such a character only ends a token (``"≥"``, ``"\\u2212"``);
+    any other run stops the encoding, and the text takes the regex."""
+    run = error.object[error.start : error.end]
+    if any(ch.isalpha() or unicodedata.category(ch)[0] == "M" for ch in run):
+        raise error
+    return " ", error.end
+
+
+codecs.register_error("lexevo.blank_separators", _blank_separators)
+
+
 def _scan(text: str) -> bytes | list[str]:
-    """The one tokenizer, before the length filter. A text that cp1252
-    encodes is scanned as its bytes, with one translate: its tokens are the
-    words of the bytes returned. Any other text gives its tokens through
-    the regex. Either way a token's length is its length in code points."""
-    raw = artifacts.cp1252_bytes(text)
+    """The one tokenizer, before the length filter. A text whose letters
+    and marks cp1252 encodes is scanned as its bytes, with one translate:
+    its tokens are the words of the bytes returned. Any other text gives
+    its tokens through the regex. Either way a token's length is its
+    length in code points."""
+    raw = artifacts.cp1252_bytes(text, "lexevo.blank_separators")
     return _regex_tokens(text) if raw is None else raw.translate(_TABLE)
 
 
-def _keys(text: str) -> Sequence[bytes | str]:
-    """The tokens of ``text``, of every length, each keyed by its cp1252
-    bytes, or by the token itself if it has none, so a word has one key in
-    either kind of text."""
-    scanned = _scan(text)
-    if isinstance(scanned, bytes):
-        return scanned.split()
-    return [artifacts.cp1252_bytes(token) or token for token in scanned]
+class _TextColumns(dict):
+    """The columns of tokens given as text, for :func:`count_terms`: a
+    token missing here takes the column of its key in ``column``, its
+    cp1252 bytes or else the token itself, so a word has one column whether
+    it comes as bytes or as text. Each distinct token is encoded once."""
+
+    def __init__(self, column: dict[bytes | str, int]) -> None:
+        super().__init__()
+        self._column = column
+
+    def __missing__(self, token: str) -> int:
+        j = self[token] = self._column[artifacts.cp1252_bytes(token) or token]
+        return j
 
 
 def _term(key: bytes | str) -> str:
-    """The token a key of :func:`_keys` stands for."""
+    """The token a key of ``column`` in :func:`count_terms` stands for."""
     return key if isinstance(key, str) else artifacts.cp1252_text(key)
 
 
@@ -214,9 +239,10 @@ def tokenize(text: str, min_len: int = DEFAULT_MIN_TOKEN_LEN) -> list[str]:
     stays attached to its letter, such as the dot above that ``lower()``
     leaves on ``"İ"`` (``"İstanbul"`` gives ``["i\\u0307stanbul"]``).
 
-    A text that Windows-1252 encodes (Latin-1 plus curly quotes, dashes,
-    the euro sign and a few letters) is tokenized from its bytes, which
-    gives the same tokens: see ``_TABLE``."""
+    A text whose letters and marks Windows-1252 encodes (Latin-1 plus
+    curly quotes, dashes, the euro sign and a few letters) is tokenized
+    from its bytes, which gives the same tokens: see ``_TABLE`` and
+    ``_blank_separators``."""
     scanned = _scan(text)
     if isinstance(scanned, bytes):
         scanned = artifacts.cp1252_text(scanned).split()
@@ -351,50 +377,44 @@ def count_terms(streams: Iterable[TokenStream]) -> TermCounts:
     int32 indices, int64 data and int32 row pointers.
 
     Given the streams of :func:`tokenize_documents`, or a slice of them,
-    the abstracts are counted without building a stream: each token's key
-    (its cp1252 bytes where it has them, see :func:`tokenize`) is looked up
-    as it is scanned, whatever its length, and the columns of keys shorter
-    than the streams' ``min_len`` are dropped from each block's counts.
-    The kept columns are decoded once, at the end."""
-    if isinstance(streams, _Streams):
-        pairs = ((doc.id, _keys(doc.abstract)) for doc in streams._documents)
-        min_len = streams._min_len
-    else:
-        pairs, min_len = ((stream.doc_id, stream.tokens) for stream in streams), 0
+    the abstracts are counted without building a stream: each token is
+    looked up as it is scanned, by its cp1252 bytes in an abstract that
+    :func:`tokenize` scans as bytes, and the columns are decoded once, at
+    the end."""
     column: dict[bytes | str, int] = defaultdict(itertools.count().__next__)
-    # Each column's index among the kept keys, or -1 for a key shorter than
-    # min_len, whose length is its token's (a cp1252 key has one byte per
-    # code point); a column's entry is added in the block that first sees it.
-    kept_id, kept_keys = np.empty(0, np.int64), []
+    text_column = _TextColumns(column)
+    if isinstance(streams, _Streams):
+        min_len = streams._min_len
+        pairs = ((doc.id, _scan(doc.abstract)) for doc in streams._documents)
+    else:
+        min_len, pairs = 0, ((stream.doc_id, stream.tokens) for stream in streams)
     doc_ids: list[str] = []
     indices, data = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     row_nnz = [np.empty(0, np.int64)]
     while True:
         ids, lengths = array("i"), []
-        for doc_id, keys in itertools.islice(pairs, _BLOCK_STREAMS):
+        for doc_id, scanned in itertools.islice(pairs, _BLOCK_STREAMS):
+            if isinstance(scanned, bytes):
+                scanned, lookup = scanned.split(), column
+            else:
+                lookup = text_column
+            keys = [key for key in scanned if len(key) >= min_len]
             doc_ids.append(doc_id)
             lengths.append(len(keys))
-            ids.extend(map(column.__getitem__, keys))
+            ids.extend(map(lookup.__getitem__, keys))
         if not lengths:
             break
-        new = list(itertools.islice(column, kept_id.size, None))
-        kept = np.fromiter(map(len, new), np.int64, len(new)) >= min_len
-        kept_id = np.concatenate((kept_id, np.where(kept, np.cumsum(kept) + len(kept_keys) - 1, -1)))
-        kept_keys += itertools.compress(new, kept.tolist())
         # One int64 cell per token, its stream's row above its column, so the
-        # sorted distinct cells are the block's rows in canonical CSR order;
-        # kept ids keep the order of the columns, so each row stays sorted.
+        # sorted distinct cells are the block's rows in canonical CSR order.
         rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
         cells, counts = np.unique((rows << 32) | np.frombuffer(ids, np.intc), return_counts=True)
-        columns = kept_id[cells & 0xFFFFFFFF]
-        keep = columns >= 0
-        indices.append(columns[keep].astype(np.int32))
-        data.append(counts[keep].astype(np.int32))
-        row_nnz.append(np.bincount(cells[keep] >> 32, minlength=len(lengths)))
+        indices.append((cells & 0xFFFFFFFF).astype(np.int32))
+        data.append(counts.astype(np.int32))
+        row_nnz.append(np.bincount(cells >> 32, minlength=len(lengths)))
     # The keys are decoded, and freed, before the blocks' arrays are joined,
     # so the two never take memory at once.
-    terms = {_term(key): j for j, key in enumerate(kept_keys)}
-    del column, kept_keys
+    terms = {_term(key): j for key, j in column.items()}
+    del column, text_column
     indptr = np.zeros(len(doc_ids) + 1, np.int32)
     np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
     csr = Csr(

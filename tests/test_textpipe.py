@@ -254,8 +254,12 @@ def _maybe_nfd(text: str, nfd: bool) -> str:
 
 # Characters Windows-1252 lacks: a capital that lowercases to a letter and a
 # mark, final sigma, a ligature, combining marks, the C1 controls cp1252
-# leaves out or maps elsewhere, superscripts and the ideographic space.
-_NOT_CP1252 = "İΣςﬁ\u0301\u0308\u0327\u0080\u0081\u008d\u008f\u0090\u009d\u2074\u207f\u3000"
+# leaves out or maps elsewhere, superscripts, the ideographic space, and
+# symbols, among them two whose NFC holds a combining mark.
+_NOT_CP1252 = (
+    "İΣςﬁ\u0301\u0308\u0327\u0080\u0081\u008d\u008f\u0090\u009d\u2074\u207f\u3000"
+    "≥\u2212→\u2adc\U0001d15e"
+)
 _MOSTLY_CP1252 = st.builds(
     _maybe_nfd, st.text(alphabet=st.sampled_from(_CP1252 * 4 + list(_NOT_CP1252)), max_size=80),
     st.booleans(),
@@ -267,15 +271,37 @@ _MOSTLY_CP1252 = st.builds(
 @example("ÀÉÎÕÜ ŠŒŽŸ ƒ ªº µ ß Ÿe", 1)
 @example("naïve—“Œuvre” x²y 3€uro… TM™", 2)
 @example("J\u030cunta AÑO", 2)
+@example("p ≥ 0.5, \u22122 °C; a\u2adcb", 1)
 def test_tokenize_scans_a_cp1252_text_as_the_per_run_loop_would(text, min_len):
     assert tokenize(text, min_len) == oracles.per_run_tokenize(text, min_len)
+
+
+def test_only_a_letter_or_mark_cp1252_lacks_sends_a_text_to_the_regex():
+    for text in ("p ≥ 0.5, \u22122 °C", "a → b \u3000 c\u2074", "x\u2adcy", ""):
+        assert isinstance(textpipe._scan(text), bytes), text
+    for text in ("α-helix", "Σ", "e\u0301", "≥ ﬁn", "İ"):
+        assert isinstance(textpipe._scan(text), list), text
+
+
+def test_a_character_cp1252_lacks_that_is_no_letter_or_mark_only_separates():
+    """What lets ``_scan`` blank such a character in a text it scans as
+    bytes: lowercased and composed, it holds no letter and starts with no
+    mark, so it ends a token and the marks it may hold attach to nothing."""
+    for code in range(0x110000):
+        ch = chr(code)
+        category = unicodedata.category(ch)
+        if category in ("Cn", "Co", "Cs") or category[0] in "LM" or ch in _CP1252:
+            continue
+        normalized = unicodedata.normalize("NFC", ch.lower())
+        assert not any(c.isalpha() for c in normalized), hex(code)
+        assert unicodedata.category(normalized[0])[0] != "M", hex(code)
 
 
 # Words in cp1252 and out of it, some shorter than every min_len drawn, and
 # gaps that keep an abstract in cp1252 or take it out.
 _WORDS = ["a", "I", "ab", "AB", "Año", "año", "été", "e\u0301te\u0301", "NAÏVE", "naïve", "Œuvre",
           "ﬁn", "İz", "Σοφία", "x²y", "€uro"]
-_GAPS = [" ", ", ", " — ", "1", "\u3000", "\u0081", " → "]
+_GAPS = [" ", ", ", " — ", "1", "\u3000", "\u0081", " → ", " ≥ ", "\u2212"]
 _ABSTRACTS = st.lists(
     st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_GAPS)), max_size=8).map(
         lambda parts: "".join(word + gap for word, gap in parts)
