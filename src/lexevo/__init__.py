@@ -25,7 +25,6 @@ from .corpus import (
     FilterReport,
     filter_corpus,
     load_corpus_csv,
-    parse_bibliographic_csv,
 )
 from .errors import (
     ConfigError,
@@ -112,7 +111,6 @@ __all__ = [
     "Corpus",
     "CsvSchema",
     "CANONICAL_SCHEMA",
-    "parse_bibliographic_csv",
     "load_corpus_csv",
     "filter_corpus",
     # text

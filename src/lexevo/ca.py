@@ -29,6 +29,11 @@ The other side's singular vectors follow from the transition formula
 S^T w / sigma for the retained dimensions only (Greenacre,
 *Correspondence Analysis in Practice*, 3rd ed., 2017).
 
+Input errors: :func:`compute_ca` raises :class:`ValidationError` for a
+table that is not 2-d or not labeled to its shape, a non-finite or negative
+entry, a total that is not positive, an all-zero row or column (by label),
+or ``dims`` out of range. It checks the float64 sparse copy that it fits.
+
 Zero rule: an eigenvalue at or below max(rows, cols) times the float64
 machine epsilon is zero, and its dimension is dropped. The Gram matrix has
 one exactly-zero eigenvalue (the trivial dimension, on sqrt(a)), which comes
@@ -103,34 +108,6 @@ class CaInput:
     @classmethod
     def from_counts(cls, dtm: DocTermMatrix) -> "CaInput":
         return cls(dtm.counts, dtm.rows, dtm.terms)
-
-    def validate(self) -> None:
-        m = self.matrix
-        if m.ndim != 2:
-            raise ValidationError(f"matrix must be 2-d, got shape {m.shape}")
-        if m.shape != (len(self.row_labels), len(self.col_labels)):
-            raise ValidationError(
-                f"label count {(len(self.row_labels), len(self.col_labels))} "
-                f"does not match matrix shape {m.shape}"
-            )
-        stored = m if isinstance(m, np.ndarray) else m.data
-        if not np.all(np.isfinite(stored)):
-            raise ValidationError("matrix contains non-finite entries")
-        if (stored < 0).any():
-            bad = np.transpose((m < 0).nonzero())[:5].tolist()
-            raise ValidationError(f"matrix has negative entries at {bad}")
-        if m.sum() <= 0:
-            raise ValidationError("matrix grand total must be positive")
-        zero_rows = [self.row_labels[i] for i in np.flatnonzero(_margin(m, 1) == 0)]
-        zero_cols = [self.col_labels[j] for j in np.flatnonzero(_margin(m, 0) == 0)]
-        if zero_rows or zero_cols:
-            raise ValidationError(
-                f"matrix has all-zero rows {zero_rows} / columns {zero_cols}"
-            )
-
-
-def _margin(m: np.ndarray | sparse.spmatrix, axis: int) -> np.ndarray:
-    return np.asarray(m.sum(axis=axis)).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,17 +195,38 @@ def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
     from scipy import sparse
     from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 
-    inp.validate()
-    n_rows, n_cols = inp.matrix.shape
+    m = inp.matrix
+    # Shape checks come first: SciPy would copy a 1-d array as one row.
+    if m.ndim != 2:
+        raise ValidationError(f"matrix must be 2-d, got shape {m.shape}")
+    if m.shape != (len(inp.row_labels), len(inp.col_labels)):
+        raise ValidationError(
+            f"label count {(len(inp.row_labels), len(inp.col_labels))} "
+            f"does not match matrix shape {m.shape}"
+        )
+    p = sparse.csr_matrix(m, dtype=np.float64)
+    if not np.all(np.isfinite(p.data)):
+        raise ValidationError("matrix contains non-finite entries")
+    if (p.data < 0).any():
+        bad = np.transpose((p < 0).nonzero())[:5].tolist()
+        raise ValidationError(f"matrix has negative entries at {bad}")
+    total = p.sum()
+    if total <= 0:
+        raise ValidationError("matrix grand total must be positive")
+    p = p / total
+    # Margins are summed, not counted from getnnz: a stored entry can be 0.
+    a, b = np.asarray(p.sum(axis=1)).ravel(), np.asarray(p.sum(axis=0)).ravel()
+    zero_rows = [inp.row_labels[i] for i in np.flatnonzero(a == 0)]
+    zero_cols = [inp.col_labels[j] for j in np.flatnonzero(b == 0)]
+    if zero_rows or zero_cols:
+        raise ValidationError(f"matrix has all-zero rows {zero_rows} / columns {zero_cols}")
+    n_rows, n_cols = m.shape
     max_dims = min(n_rows, n_cols) - 1
     if not 1 <= dims <= max_dims:
         raise ValidationError(
             f"dims must be between 1 and min(rows, cols) - 1 = {max_dims}, got {dims}"
         )
 
-    p = sparse.csr_matrix(inp.matrix, dtype=np.float64)
-    p = p / p.sum()
-    a, b = _margin(p, 1), _margin(p, 0)
     root_a, root_b = np.sqrt(a), np.sqrt(b)
     q = sparse.diags(1.0 / root_a) @ p @ sparse.diags(1.0 / root_b)
     del p
@@ -237,7 +235,8 @@ def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
     # matrix is S S^T = Q Q^T - sqrt(a) sqrt(a)^T; with more rows than
     # columns, the same holds for S^T with the two sides swapped.
     transposed = n_rows > n_cols
-    qs, root_s, root_l = (q.T.tocsr(), root_b, root_a) if transposed else (q, root_a, root_b)
+    qs, qs_t = (q.T.tocsr(), q) if transposed else (q, q.T.tocsr())
+    root_s, root_l = (root_b, root_a) if transposed else (root_a, root_b)
     del q
     # P and Q are released once the next copy exists, so while the Gram
     # matrix is filled the only whole sparse copies of the table are qs and
@@ -245,7 +244,6 @@ def compute_ca(inp: CaInput, dims: int = 2) -> CaModel:
     # other large arrays are one block's rows and their sparse product; the
     # mass term is subtracted one row at a time.
     n = qs.shape[0]
-    qs_t = qs.T.tocsr()
     gram = np.empty((n, n))
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)

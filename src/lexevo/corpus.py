@@ -1,7 +1,8 @@
 """Bibliographic corpus ingestion and cleaning.
 
-Parses CSV exports (RFC 4180, UTF-8, header row) into validated
-:class:`Document` records and applies the corpus-cleaning filters with an
+:func:`load_corpus_csv` is the one parser of a CSV export (RFC 4180, UTF-8,
+header row): it reads the file into validated :class:`Document` records.
+:func:`filter_corpus` then applies the corpus-cleaning filters with an
 auditable :class:`FilterReport`. All structures are frozen dataclasses, so
 a parsed corpus can be shared freely across threads.
 """
@@ -9,11 +10,10 @@ a parsed corpus can be shared freely across threads.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import artifacts
 from .errors import DataError, SchemaError
@@ -28,7 +28,6 @@ __all__ = [
     "CANONICAL_SCHEMA",
     "DEFAULT_EXCLUDED_TYPES",
     "normalize_doc_type",
-    "parse_bibliographic_csv",
     "load_corpus_csv",
     "filter_corpus",
     "write_corpus_csv",
@@ -212,27 +211,22 @@ CANONICAL_SCHEMA = CsvSchema(
 )
 
 
-def _records(source: IO[bytes], name: str | Path) -> Iterator[list[str]]:
-    """The CSV records of a binary UTF-8 stream, read and decoded as the
-    reader asks for them; ``name`` names ``source`` in an encoding error."""
-    return csv.reader(artifacts.text_lines(source, name))
-
-
-def parse_bibliographic_csv(
-    source: bytes,
+def load_corpus_csv(
+    path: str | Path,
     schema: CsvSchema,
     *,
     year_window: tuple[int, int] = DEFAULT_YEAR_WINDOW,
 ) -> Corpus:
-    """Parse the bytes of a bibliographic CSV export into a :class:`Corpus`.
+    """Parse a bibliographic CSV export file into a :class:`Corpus`.
 
-    The bytes must be UTF-8 (:class:`EncodingError` otherwise, and no
-    documents are returned); a leading byte-order mark, which exports often
-    carry, is not data. The bytes are decoded chunk by chunk as the CSV
-    reader asks for lines, so the decoded text is never held whole: each
-    field becomes its own string. :func:`load_corpus_csv` parses a file the
-    same way, read as it is decoded. One document per data row. Keywords
-    are split on ``;`` and trimmed.
+    The file must be UTF-8 (:class:`EncodingError` otherwise, naming ``path``
+    and the offset of the first bad byte); a leading byte-order mark, which
+    exports often carry, is not data. The file is read and decoded a chunk
+    at a time as the CSV reader asks for lines, so the parse holds little
+    more than the corpus it returns. The file is closed on return and on
+    every error.
+
+    One document per data row; keywords are split on ``;`` and trimmed.
     Rows with a malformed year or citation count (or a year outside
     ``year_window``, or a duplicate id, or an id that holds a tab or a
     line break and so cannot be a cell of a TSV artifact) are collected
@@ -240,114 +234,89 @@ def parse_bibliographic_csv(
     The returned provenance has ``loaded == retained`` and zero exclusions:
     filtering is a separate, explicit step (:func:`filter_corpus`).
     """
-    return _parse(io.BytesIO(source), "input", schema, year_window)
-
-
-def _parse(
-    source: IO[bytes], name: str | Path, schema: CsvSchema, year_window: tuple[int, int]
-) -> Corpus:
-    reader = _records(source, name)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{name} has no header row") from None
-
-    col_index: dict[str, int] = {}
-    for logical, column in schema.mapped_columns():
+    with open(path, "rb") as source:
+        reader = csv.reader(artifacts.text_lines(source, path))
         try:
-            col_index[logical] = header.index(column)
-        except ValueError:
-            raise SchemaError(
-                f"mapped column {column!r} (field {logical!r}) "
-                f"not found in header {header!r}"
-            ) from None
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path} has no header row") from None
 
-    def cell(row: list[str], logical: str) -> str:
-        idx = col_index.get(logical)
-        if idx is None or idx >= len(row):
-            return ""
-        return row[idx]
-
-    lo, hi = year_window
-    documents: list[Document] = []
-    rejects: list[RejectedRow] = []
-    seen_ids: set[str] = set()
-    for record_no, row in enumerate(reader, start=1):
-        if not row:
-            continue
-
-        year_raw = cell(row, "year").strip()
-        try:
-            year = int(year_raw)
-        except ValueError:
-            rejects.append(RejectedRow(record_no, f"malformed year {year_raw!r}"))
-            continue
-        if not lo <= year <= hi:
-            rejects.append(
-                RejectedRow(record_no, f"year {year} outside window {lo}..{hi}")
-            )
-            continue
-
-        citations_raw = cell(row, "citations").strip()
-        if citations_raw == "":
-            citations = 0
-        else:
+        col_index: dict[str, int] = {}
+        for logical, column in schema.mapped_columns():
             try:
-                citations = int(citations_raw)
+                col_index[logical] = header.index(column)
             except ValueError:
+                raise SchemaError(
+                    f"mapped column {column!r} (field {logical!r}) "
+                    f"not found in header {header!r}"
+                ) from None
+
+        def cell(row: list[str], logical: str) -> str:
+            idx = col_index.get(logical)
+            if idx is None or idx >= len(row):
+                return ""
+            return row[idx]
+
+        lo, hi = year_window
+        documents: list[Document] = []
+        rejects: list[RejectedRow] = []
+        seen_ids: set[str] = set()
+        for record_no, row in enumerate(reader, start=1):
+            if not row:
+                continue
+
+            year_raw = cell(row, "year").strip()
+            try:
+                year = int(year_raw)
+            except ValueError:
+                rejects.append(RejectedRow(record_no, f"malformed year {year_raw!r}"))
+                continue
+            if not lo <= year <= hi:
                 rejects.append(
-                    RejectedRow(record_no, f"malformed citations {citations_raw!r}")
+                    RejectedRow(record_no, f"year {year} outside window {lo}..{hi}")
                 )
                 continue
-        if citations < 0:
-            rejects.append(
-                RejectedRow(record_no, f"negative citations {citations}")
-            )
-            continue
 
-        doc_id = cell(row, "id").strip() or f"d{record_no:04d}"
-        if "\t" in doc_id or doc_id.splitlines() != [doc_id]:
-            rejects.append(
-                RejectedRow(record_no, f"id {doc_id!r} holds a tab or a line break")
-            )
-            continue
-        if doc_id in seen_ids:
-            rejects.append(RejectedRow(record_no, f"duplicate id {doc_id!r}"))
-            continue
-        seen_ids.add(doc_id)
+            citations_raw = cell(row, "citations").strip()
+            try:
+                citations = int(citations_raw or "0")
+            except ValueError:
+                rejects.append(RejectedRow(record_no, f"malformed citations {citations_raw!r}"))
+                continue
+            if citations < 0:
+                rejects.append(
+                    RejectedRow(record_no, f"negative citations {citations}")
+                )
+                continue
 
-        keywords = tuple(
-            kw.strip() for kw in cell(row, "keywords").split(";") if kw.strip()
-        )
-        documents.append(
-            Document(
-                id=doc_id,
-                title=cell(row, "title").strip(),
-                abstract=cell(row, "abstract").strip(),
-                keywords=keywords,
-                year=year,
-                doc_type=normalize_doc_type(cell(row, "doc_type")),
-                citations=citations,
+            doc_id = cell(row, "id").strip() or f"d{record_no:04d}"
+            if "\t" in doc_id or doc_id.splitlines() != [doc_id]:
+                rejects.append(
+                    RejectedRow(record_no, f"id {doc_id!r} holds a tab or a line break")
+                )
+                continue
+            if doc_id in seen_ids:
+                rejects.append(RejectedRow(record_no, f"duplicate id {doc_id!r}"))
+                continue
+            seen_ids.add(doc_id)
+
+            keywords = tuple(
+                kw.strip() for kw in cell(row, "keywords").split(";") if kw.strip()
             )
-        )
+            documents.append(
+                Document(
+                    id=doc_id,
+                    title=cell(row, "title").strip(),
+                    abstract=cell(row, "abstract").strip(),
+                    keywords=keywords,
+                    year=year,
+                    doc_type=normalize_doc_type(cell(row, "doc_type")),
+                    citations=citations,
+                )
+            )
 
     report = FilterReport(len(documents), 0, 0, len(documents))
     return Corpus(tuple(documents), report, tuple(rejects))
-
-
-def load_corpus_csv(
-    path: str | Path,
-    schema: CsvSchema,
-    *,
-    year_window: tuple[int, int] = DEFAULT_YEAR_WINDOW,
-) -> Corpus:
-    """Parse a CSV file from disk, as :func:`parse_bibliographic_csv` does;
-    an encoding error names ``path``. The file is read a chunk at a time as
-    the CSV reader asks for lines, so its bytes are never held whole: the
-    parse holds little more than the corpus it returns. The file is closed
-    on return and on every error."""
-    with open(path, "rb") as source:
-        return _parse(source, path, schema, year_window)
 
 
 def filter_corpus(

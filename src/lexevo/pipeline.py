@@ -68,6 +68,7 @@ from .corpus import (
 )
 from .errors import (
     ConfigError,
+    DataError,
     DegenerateCorpusError,
     DependencyError,
     EncodingError,
@@ -365,11 +366,15 @@ def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
     filtered = filter_corpus(
         load_corpus_csv(cfg.input, cfg.schema, year_window=cfg.year_window), cfg.excluded_types
     )
-    logger.info(
-        "ingest: loaded %d rows, retained %d documents",
-        filtered.provenance.loaded,
-        filtered.provenance.retained,
-    )
+    report = filtered.provenance
+    logger.info("ingest: loaded %d rows, retained %d documents", report.loaded, report.retained)
+    if report.retained == 0:
+        raise DataError(
+            f"{cfg.input} leaves no document to analyze: {report.loaded} rows loaded "
+            f"({len(filtered.rejects)} more rejected), of which "
+            f"{report.excluded_non_research} excluded as non-research and "
+            f"{report.excluded_no_abstract} for want of an abstract"
+        )
     counts = _count_in_lanes(textpipe.tokenize_documents(filtered, cfg.min_token_len))
     stoplist: frozenset[str] = (
         ENGLISH_STOPWORDS if cfg.builtin_stopwords else frozenset()

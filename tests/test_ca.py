@@ -423,23 +423,32 @@ def test_validate_rejects_negative_entries():
     bad = FIXTURE.copy()
     bad[0, 0] = -1
     with pytest.raises(ValidationError, match="negative"):
-        CaInput(bad, ROWS, COLS).validate()
+        compute_ca(CaInput(bad, ROWS, COLS))
 
 
 def test_validate_rejects_zero_rows_and_columns_by_label():
     bad = FIXTURE.copy()
     bad[2, :] = 0
     with pytest.raises(ValidationError, match="r2"):
-        CaInput(bad, ROWS, COLS).validate()
+        compute_ca(CaInput(bad, ROWS, COLS))
     bad = FIXTURE.copy()
     bad[:, 1] = 0
     with pytest.raises(ValidationError, match="beta"):
-        CaInput(bad, ROWS, COLS).validate()
+        compute_ca(CaInput(bad, ROWS, COLS))
+
+
+def test_a_sparse_row_of_explicit_zeros_is_an_all_zero_row():
+    # Row r2 keeps its four stored entries, each set to 0: it has no mass.
+    stored = sparse.csr_matrix(FIXTURE)
+    stored.data[stored.indptr[2] : stored.indptr[3]] = 0.0
+    assert stored.getnnz(axis=1).tolist() == [3, 4, 4, 3, 4]
+    with pytest.raises(ValidationError, match=r"all-zero rows \['r2'\] / columns \[\]"):
+        compute_ca(CaInput(stored, ROWS, COLS))
 
 
 def test_validate_rejects_label_shape_mismatch():
     with pytest.raises(ValidationError):
-        CaInput(FIXTURE, ROWS[:-1], COLS).validate()
+        compute_ca(CaInput(FIXTURE, ROWS[:-1], COLS))
 
 
 def _with(value, *cells):
@@ -461,9 +470,9 @@ def _with(value, *cells):
 )
 def test_validate_gives_sparse_input_the_dense_message(bad, rows):
     with pytest.raises(ValidationError) as dense:
-        CaInput(bad, rows, COLS).validate()
+        compute_ca(CaInput(bad, rows, COLS))
     with pytest.raises(ValidationError) as sparse_error:
-        CaInput(sparse.csr_matrix(bad), rows, COLS).validate()
+        compute_ca(CaInput(sparse.csr_matrix(bad), rows, COLS))
     assert str(sparse_error.value) == str(dense.value)
 
 

@@ -595,6 +595,40 @@ def test_weighting_a_single_document_fails_ingest_with_exit_2(
         assert manifest["error"].startswith("DegenerateCorpusError: tf-idf")
 
 
+_NO_DOCUMENT_RETAINED = {
+    "header-only": ([], "0 rows loaded (0 more rejected), of which 0 excluded as "
+                        "non-research and 0 for want of an abstract"),
+    "every-row-filtered": (
+        [
+            "Editorial,A note on the field.,,2015,Editorial,0",
+            "Untitled,,,2016,Article,1",
+            "Bad year,An abstract.,,20x6,Article,0",
+        ],
+        "2 rows loaded (1 more rejected), of which 1 excluded as non-research and 1 "
+        "for want of an abstract",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+@pytest.mark.parametrize(("rows", "counts"), _NO_DOCUMENT_RETAINED.values(),
+                         ids=_NO_DOCUMENT_RETAINED)
+def test_an_export_that_retains_no_document_exits_2_naming_its_counts(
+    tmp_path, write_mini_config, capsys, command, rows, counts
+):
+    # The data leave nothing to count, which no config key can mend.
+    source = tmp_path / "export.csv"
+    header = "Title,Abstract,Author Keywords,Year,Document Type,Cited by"
+    source.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_mini_config(out, source=source))]) == 2
+    assert f"{source} leaves no document to analyze: {counts}" in capsys.readouterr().err
+    if command == "run":
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["failed_stage"] == "ingest"
+        assert manifest["error"].startswith(f"DataError: {source} leaves no document")
+
+
 def test_a_stage_failing_while_the_writer_runs_still_waits_for_the_writer(
     tmp_path, write_mini_config, monkeypatch
 ):

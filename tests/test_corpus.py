@@ -1,13 +1,15 @@
 import csv
 import io
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexevo import corpus as corpus_module
+from lexevo import artifacts, corpus as corpus_module
 from lexevo.corpus import (
     CANONICAL_SCHEMA,
     Corpus,
@@ -18,7 +20,6 @@ from lexevo.corpus import (
     filter_corpus,
     load_corpus_csv,
     normalize_doc_type,
-    parse_bibliographic_csv,
     write_corpus_csv,
     write_rejects_report,
 )
@@ -28,6 +29,15 @@ from lexevo.errors import DataError, EncodingError, SchemaError
 def _csv(*rows: str) -> bytes:
     header = "id,title,abstract,keywords,year,doc_type,citations"
     return ("\n".join([header, *rows]) + "\n").encode("utf-8")
+
+
+def _load(source: bytes, schema: CsvSchema = CANONICAL_SCHEMA, **kwargs) -> Corpus:
+    """Parse the export ``source``: write it to a temporary file and load
+    that file, as ingest loads its input."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "export.csv"
+        path.write_bytes(source)
+        return load_corpus_csv(path, schema, **kwargs)
 
 
 def _doc(i, year=2020, doc_type=DocType.ARTICLE, abstract="some text", cites=0):
@@ -50,10 +60,7 @@ def _corpus(docs):
 
 
 def test_parse_happy_path():
-    corpus = parse_bibliographic_csv(
-        _csv("a1,Title One,An abstract.,kw1; kw2,2015,article,3"),
-        CANONICAL_SCHEMA,
-    )
+    corpus = _load(_csv("a1,Title One,An abstract.,kw1; kw2,2015,article,3"))
     assert len(corpus) == 1
     doc = corpus.documents[0]
     assert doc.id == "a1"
@@ -67,20 +74,17 @@ def test_parse_happy_path():
 
 
 def test_parse_assigns_sequential_ids_when_id_column_is_blank():
-    corpus = parse_bibliographic_csv(
-        _csv(",t,a,,2019,article,", ",t,a,,2020,article,"),
-        CANONICAL_SCHEMA,
-    )
+    corpus = _load(_csv(",t,a,,2019,article,", ",t,a,,2020,article,"))
     assert [d.id for d in corpus.documents] == ["d0001", "d0002"]
 
 
 def test_parse_missing_citations_defaults_to_zero():
-    corpus = parse_bibliographic_csv(_csv("x,t,a,,2019,article,"), CANONICAL_SCHEMA)
+    corpus = _load(_csv("x,t,a,,2019,article,"))
     assert corpus.documents[0].citations == 0
 
 
 def test_parse_rejects_bad_rows_and_keeps_the_rest():
-    corpus = parse_bibliographic_csv(
+    corpus = _load(
         _csv(
             "a,t,a,,not-a-year,article,0",
             "b,t,a,,1850,article,0",       # outside the default window
@@ -88,8 +92,7 @@ def test_parse_rejects_bad_rows_and_keeps_the_rest():
             "d,t,a,,2020,article,-1",
             "e,t,a,,2020,article,5",
             "e,t,a,,2021,article,5",       # duplicate id
-        ),
-        CANONICAL_SCHEMA,
+        )
     )
     assert [d.id for d in corpus.documents] == ["e"]
     assert [r.row for r in corpus.rejects] == [1, 2, 3, 4, 6]
@@ -104,9 +107,8 @@ def test_parse_rejects_bad_rows_and_keeps_the_rest():
 
 
 def test_parse_respects_custom_year_window():
-    corpus = parse_bibliographic_csv(
+    corpus = _load(
         _csv("a,t,a,,2005,article,0", "b,t,a,,2010,article,0"),
-        CANONICAL_SCHEMA,
         year_window=(2009, 2022),
     )
     assert [d.id for d in corpus.documents] == ["b"]
@@ -114,28 +116,25 @@ def test_parse_respects_custom_year_window():
 
 
 def test_parse_quoted_fields_and_embedded_commas():
-    corpus = parse_bibliographic_csv(
-        _csv('a,"One, two, three","Contains, commas",,2020,article,0'),
-        CANONICAL_SCHEMA,
-    )
+    corpus = _load(_csv('a,"One, two, three","Contains, commas",,2020,article,0'))
     assert corpus.documents[0].title == "One, two, three"
     assert corpus.documents[0].abstract == "Contains, commas"
 
 
 def test_parse_missing_mapped_column_is_a_schema_error():
     with pytest.raises(SchemaError, match="abstract"):
-        parse_bibliographic_csv(b"id,title,year\n", CANONICAL_SCHEMA)
+        _load(b"id,title,year\n")
 
 
 def test_parse_empty_input_is_a_schema_error():
     with pytest.raises(SchemaError, match="no header"):
-        parse_bibliographic_csv(b"", CANONICAL_SCHEMA)
+        _load(b"")
 
 
 def test_parse_rejects_non_utf8_bytes():
     data = _csv("a,t,resum\xe9,,2020,article,0").decode("utf-8").encode("latin-1")
     with pytest.raises(EncodingError):
-        parse_bibliographic_csv(data, CANONICAL_SCHEMA)
+        _load(data)
 
 
 def test_utf8_bom_is_not_part_of_the_first_column_name():
@@ -146,9 +145,9 @@ def test_utf8_bom_is_not_part_of_the_first_column_name():
     schema = CsvSchema(
         title="Title", abstract="Abstract", year="Year", doc_type="Document Type"
     )
-    plain = parse_bibliographic_csv(raw, schema)
+    plain = _load(raw, schema)
     assert plain.documents[0].title == "Caf\u00e9 T"
-    assert parse_bibliographic_csv(b"\xef\xbb\xbf" + raw, schema) == plain
+    assert _load(b"\xef\xbb\xbf" + raw, schema) == plain
 
 
 def test_parse_with_renamed_columns():
@@ -159,7 +158,7 @@ def test_parse_with_renamed_columns():
     schema = CsvSchema(
         title="Title", abstract="Abstract", year="Year", doc_type="Document Type"
     )
-    corpus = parse_bibliographic_csv(raw, schema)
+    corpus = _load(raw, schema)
     assert corpus.documents[0].doc_type is DocType.CONFERENCE_PAPER
     assert corpus.documents[0].keywords == ()
 
@@ -171,16 +170,16 @@ _BOM = b"\xef\xbb\xbf"
 _COLUMNS = ("id", "title", "abstract", "keywords", "year", "doc_type", "citations")
 
 
-def _whole_text_records(source, name: str = "input"):
+def _whole_text_lines(source, name: str = "input"):
     """The oracle: read and decode the whole binary stream, then split it
-    into records. ``name`` is unused: the oracle's decode error names no file."""
-    return csv.reader(io.StringIO(source.read().decode("utf-8-sig"), newline=""))
+    into lines. ``name`` is unused: the oracle's decode error names no file."""
+    return io.StringIO(source.read().decode("utf-8-sig"), newline="")
 
 
 def _whole_text_parse(source: bytes) -> Corpus:
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(corpus_module, "_records", _whole_text_records)
-        return parse_bibliographic_csv(source, CANONICAL_SCHEMA)
+        mp.setattr(artifacts, "text_lines", _whole_text_lines)
+        return _load(source)
 
 
 _cells = st.lists(
@@ -246,9 +245,9 @@ def _exports(draw) -> bytes:
 
 
 def _assert_streamed_parse_is_the_whole_text_parse(source: bytes) -> None:
-    streamed = corpus_module._records(io.BytesIO(source), "input")
-    assert list(streamed) == list(_whole_text_records(io.BytesIO(source)))
-    assert parse_bibliographic_csv(source, CANONICAL_SCHEMA) == _whole_text_parse(source)
+    streamed = csv.reader(artifacts.text_lines(io.BytesIO(source), "input"))
+    assert list(streamed) == list(csv.reader(_whole_text_lines(io.BytesIO(source))))
+    assert _load(source) == _whole_text_parse(source)
 
 
 @settings(max_examples=50, deadline=None)
@@ -284,7 +283,7 @@ def test_invalid_utf8_is_an_encoding_error_at_its_offset_in_the_file(source, off
     with pytest.raises(UnicodeDecodeError):
         source.decode("utf-8-sig")
     with pytest.raises(EncodingError, match=f"not valid UTF-8 at byte {offset} "):
-        parse_bibliographic_csv(source, CANONICAL_SCHEMA)
+        _load(source)
 
 
 @pytest.fixture()
@@ -355,7 +354,7 @@ def test_parse_peak_memory_stays_below_twice_the_export():
     source = _large_export()
     tracemalloc.start()
     try:
-        corpus = parse_bibliographic_csv(source, CANONICAL_SCHEMA)
+        corpus = _load(source)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -481,7 +480,7 @@ def test_write_then_parse_round_trips(tmp_path):
     corpus = _corpus(docs)
     path = tmp_path / "corpus.csv"
     write_corpus_csv(corpus, path)
-    again = parse_bibliographic_csv(path.read_bytes(), CANONICAL_SCHEMA)
+    again = load_corpus_csv(path, CANONICAL_SCHEMA)
     assert again.documents == corpus.documents
 
 
@@ -516,10 +515,10 @@ def test_corpus_csv_is_what_the_csv_module_writes_and_round_trips(tmp_path_facto
     path = tmp_path_factory.mktemp("csv") / "corpus.csv"
     write_corpus_csv(_corpus(docs), path)
     assert path.read_bytes() == oracles.corpus_csv_oracle(docs)
-    parsed = parse_bibliographic_csv(path.read_bytes(), CANONICAL_SCHEMA)
+    parsed = load_corpus_csv(path, CANONICAL_SCHEMA)
     write_corpus_csv(parsed, path)
     assert path.read_bytes() == oracles.corpus_csv_oracle(parsed.documents)
-    assert parse_bibliographic_csv(path.read_bytes(), CANONICAL_SCHEMA).documents == parsed.documents
+    assert load_corpus_csv(path, CANONICAL_SCHEMA).documents == parsed.documents
 
 
 def test_write_corpus_peak_memory_stays_far_below_the_file(tmp_path):
@@ -542,10 +541,7 @@ def test_write_corpus_peak_memory_stays_far_below_the_file(tmp_path):
 
 
 def test_rejects_report_format(tmp_path):
-    corpus = parse_bibliographic_csv(
-        _csv("a,t,a,,bad,article,0", "b,t,a,,2020,article,0"),
-        CANONICAL_SCHEMA,
-    )
+    corpus = _load(_csv("a,t,a,,bad,article,0", "b,t,a,,2020,article,0"))
     path = tmp_path / "rejects.tsv"
     write_rejects_report(corpus.rejects, path)
     assert path.read_text(encoding="utf-8") == "1\tmalformed year 'bad'\n"

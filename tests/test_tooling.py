@@ -1,5 +1,5 @@
-"""The README's library example and the benchmark's trace hooks, run
-against the current code."""
+"""The README's library example, the corpus generator and the benchmark's
+trace hooks, run against the current code."""
 
 import ast
 import importlib
@@ -113,6 +113,18 @@ def _patch_targets() -> list[tuple[str, str]]:
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "PATCHES"
     )
     return [(entry.elts[0].value, entry.elts[1].value) for entry in patches.elts]
+
+
+def test_the_bundled_corpus_and_its_fixture_regenerate_byte_for_byte(tmp_path):
+    # The generator writes both files; editing one of them alone fails here.
+    dest, expected = tmp_path / "mini_corpus.csv", tmp_path / "mini_corpus_expected.json"
+    script = ROOT / "scripts" / "make_mini_corpus.py"
+    subprocess.run(
+        [sys.executable, str(script), "--dest", str(dest), "--expected", str(expected)],
+        check=True, capture_output=True,
+    )
+    assert dest.read_bytes() == MINI_CSV.read_bytes()
+    assert expected.read_bytes() == (ROOT / "tests" / "data" / expected.name).read_bytes()
 
 
 def test_every_traced_function_still_exists():
