@@ -21,7 +21,7 @@ import numpy as np
 
 from . import artifacts
 from .corpus import Corpus, Document
-from .errors import EmptyPeriodError, LabelNotFoundError, ValidationError
+from .errors import DataError, EmptyPeriodError, LabelNotFoundError, ValidationError
 from .textpipe import DocTermMatrix, group_sum
 
 __all__ = [
@@ -133,7 +133,10 @@ def _contingency(
     every period are pooled into a trailing unassigned row when present."""
     n = len(period_names)
     row_of: dict[str, int] = {name: i for i, name in enumerate(period_names)}
-    groups = [row_of.get(assignment.get(doc_id), n) for doc_id in dtm.rows]
+    try:
+        groups = [row_of.get(assignment[doc_id], n) for doc_id in dtm.rows]
+    except KeyError as exc:
+        raise DataError(f"matrix row {exc.args[0]!r} has no corpus document") from None
     table = group_sum(dtm.csr, groups, n + 1)
     names = list(period_names)
     if table[-1].sum() > 0:
@@ -155,7 +158,8 @@ def characteristic_terms(
 
     ``period_names`` (such as ``PeriodSpec.names()``) fixes the rows of the
     period-by-term table, in order; documents assigned to none of them are
-    pooled into a trailing unassigned row when they hold any counts.
+    pooled into a trailing unassigned row when they hold any counts. A
+    matrix row that is not a key of ``assignment`` raises :class:`DataError`.
     """
     if period not in period_names:
         raise LabelNotFoundError(f"unknown period {period!r}")

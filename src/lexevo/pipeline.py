@@ -15,9 +15,11 @@ offset), a table or JSON file that :mod:`lexevo.artifacts` cannot parse
 (with the line), a ``corpus.csv`` record that no longer parses (with the
 record), or a field a reader needs that is missing or of the wrong type.
 ``dtm.tsv`` holds each row's triplets on consecutive lines, one per term,
-so a row whose lines resume after another row's, a (row, term) pair on two
-lines and a term missing from ``vocabulary.tsv`` are malformed too (with
-the line). The CLI exits 1 for all of these.
+and each run of lines is one matrix row, so a row whose lines resume after
+another row's, a term missing from ``vocabulary.tsv`` and a (row, term)
+pair on two lines are malformed too (with the line), as is a year in
+``yearly_counts.tsv`` that does not follow the one above it. The CLI exits
+1 for all of these.
 
 Every artifact is written through :mod:`lexevo.artifacts`, atomically: to
 a temporary file in the output directory that then replaces the artifact.
@@ -205,14 +207,21 @@ def _read_corpus(ws: Workspace) -> Corpus:
 
 
 def _read_dtm(ws: Workspace) -> textpipe.DocTermMatrix:
-    vocab = ws[A_VOCAB]
-    path = ws.path(A_DTM)
-    rows, triplets = textpipe.read_counts_tsv(path)
-    return textpipe.dtm_from_triplets(rows, vocab, triplets, path)
+    return textpipe.dtm_from_triplets(
+        ws[A_VOCAB], textpipe.read_counts_tsv(ws.path(A_DTM)), ws.out / A_DTM
+    )
 
 
 def _read_yearly(ws: Workspace) -> stats_mod.YearlyCounts:
-    years, counts = artifacts.read_tsv(ws.path(A_YEARLY), stats_mod.YEARLY_COUNTS_COLUMNS)
+    """The years run consecutively; a gap is a malformed artifact."""
+    path = ws.path(A_YEARLY)
+    years, counts = artifacts.read_tsv(path, stats_mod.YEARLY_COUNTS_COLUMNS)
+    for k in range(1, len(years)):
+        if years[k] != years[k - 1] + 1:
+            raise DependencyError(
+                f"malformed artifact {path}: line {k + 2}: "
+                f"year {years[k]} does not follow {years[k - 1]}"
+            )
     return stats_mod.YearlyCounts(years[0], tuple(counts))
 
 
@@ -610,6 +619,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
         "stages": [],
         "status": "ok",
     }
+    error: Exception | None = None
     try:
         for name, fn in _STAGES:
             start = time.perf_counter()
@@ -622,21 +632,19 @@ def run_pipeline(cfg: RunConfig) -> Path:
                 }
             )
             logger.info("stage %s finished", name)
-        name = "ingest"
-        ws.join_writer()
     except Exception as exc:
         error = exc
+    finally:
         try:
-            ws.join_writer()  # a later stage failed while the writer ran
+            ws.join_writer()
         except Exception as writer_error:
             name, error = "ingest", writer_error
+    if error is not None:
         manifest["status"] = "failed"
         manifest["failed_stage"] = name
         manifest["error"] = f"{type(error).__name__}: {error}"
         artifacts.write_json(out / A_MANIFEST, manifest)
         raise error
-    finally:
-        ws.join_writer()
     model = ws[A_CA_MODEL]
     manifest["summary"] = {
         "documents": ws[A_STATS]["documents"],

@@ -584,7 +584,8 @@ class DocTermMatrix:
 
     ``csr`` holds the int64 counts. The marginals and the grand total are
     their sums, and ``counts`` their SciPy matrix, each computed once on
-    first use. ``build_dtm`` guarantees that no row or column is all zero.
+    first use. No row is empty, whichever function builds the matrix, and
+    ``build_dtm`` also prunes the columns that come out all zero.
     """
 
     rows: tuple[str, ...]
@@ -773,51 +774,40 @@ def write_counts_tsv(
     artifacts.write_tsv(dest, _counts_columns(value_name), [doc_ids, cell_terms, matrix.data])
 
 
-def _run_starts(doc_ids: Sequence[str]) -> np.ndarray:
-    """Index of the first triplet of each run of equal consecutive doc ids."""
-    ids = np.asarray(doc_ids, dtype=object)
-    new = np.ones(len(ids), dtype=bool)
-    np.not_equal(ids[1:], ids[:-1], out=new[1:])
-    return np.flatnonzero(new)
-
-
-def read_counts_tsv(src: str | Path) -> tuple[list[str], list[list]]:
-    """Read a count triplet dump (``dtm.tsv``); returns (row ids in
-    first-appearance order, the doc_id, term and count columns in file
-    order, so triplet k is on line k + 2). A row's triplets are on
-    consecutive lines, so the row ids are read once per run of lines."""
-    triplets = artifacts.read_tsv(src, _counts_columns("count"))
-    doc_ids = triplets[0]
-    return list(dict.fromkeys(doc_ids[k] for k in _run_starts(doc_ids).tolist())), triplets
+def read_counts_tsv(src: str | Path) -> list[list]:
+    """Read a count triplet dump (``dtm.tsv``): its doc_id, term and count
+    columns in file order, so triplet k is on line k + 2."""
+    return artifacts.read_tsv(src, _counts_columns("count"))
 
 
 def dtm_from_triplets(
-    rows: Sequence[str],
-    vocab: Vocabulary,
-    triplets: Sequence[Sequence],
-    source: str | Path = "dtm.tsv",
+    vocab: Vocabulary, triplets: Sequence[Sequence], source: str | Path = "dtm.tsv"
 ) -> DocTermMatrix:
     """Rebuild a DocTermMatrix from the doc_id, term and integer count
-    columns of a triplet dump and its vocabulary; ``rows`` labels the
-    matrix rows, in order, and may name rows without a triplet.
+    columns of a triplet dump and its vocabulary.
 
-    Each run of consecutive triplets with one doc_id is a row. Its terms
-    map to int32 columns through ``vocab.index``, and its cells are sorted
-    by column. The writer never produces any of these, each a
-    :class:`DependencyError` naming ``source`` and the line of the
-    offending triplet (triplet k is on line k + 2, under the header):
+    Each run of consecutive triplets with one doc_id is a row, in file
+    order, so the run starts, found in one pass, are the row pointers. A
+    row's terms map to int32 columns through ``vocab.index``, and its cells
+    are sorted stably by column. The writer never produces any of these,
+    each a :class:`DependencyError` naming ``source`` and the line of the
+    offending triplet (triplet k is on line k + 2, under the header), in
+    the order they are checked:
 
-    - a term missing from the vocabulary;
     - a row whose triplets resume after another row's;
+    - a term missing from the vocabulary;
     - a (row, term) pair on two lines (the error names the later one).
     """
     doc_ids, terms, counts = triplets
     n = len(doc_ids)
-    starts = _run_starts(doc_ids).tolist()
-    run_ids = [doc_ids[k] for k in starts]
-    if len(set(run_ids)) < len(run_ids):
+    ids = np.asarray(doc_ids, dtype=object)
+    new_row = np.ones(n, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=new_row[1:])
+    starts = np.flatnonzero(new_row)
+    rows = tuple(ids[starts].tolist())
+    if len(set(rows)) < len(rows):
         seen: set[str] = set()
-        k = next(k for k, r in zip(starts, run_ids) if r in seen or seen.add(r))
+        k = next(k for k, r in zip(starts.tolist(), rows) if r in seen or seen.add(r))
         raise DependencyError(
             f"malformed artifact {source}: line {k + 2}: "
             f"row {doc_ids[k]!r} resumes after another row's lines"
@@ -830,9 +820,7 @@ def dtm_from_triplets(
             f"malformed artifact {source}: line {k + 2}: "
             f"term {terms[k]!r} is not in the vocabulary"
         )
-    row_index = {r: i for i, r in enumerate(rows)}
-    run_rows = np.fromiter(map(row_index.__getitem__, run_ids), np.int64, len(run_ids))
-    keys = (np.repeat(run_rows, np.diff(starts + [n])) << 32) | cols
+    keys = ((np.cumsum(new_row, dtype=np.int64) - 1) << 32) | cols
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     repeated = np.flatnonzero(keys[1:] == keys[:-1])
@@ -842,15 +830,13 @@ def dtm_from_triplets(
             f"malformed artifact {source}: line {k + 2}: "
             f"row {doc_ids[k]!r} holds term {terms[k]!r} on an earlier line too"
         )
-    indptr = np.zeros(len(rows) + 1, np.int32)
-    np.cumsum(np.bincount(keys >> 32, minlength=len(rows)), out=indptr[1:])
     csr = Csr(
-        indptr,
+        np.append(starts, n).astype(np.int32),
         (keys & 0xFFFFFFFF).astype(np.int32),
         np.asarray(counts, dtype=np.int64)[order],
         (len(rows), len(vocab)),
     )
-    return DocTermMatrix(rows=tuple(rows), vocabulary=vocab, csr=csr)
+    return DocTermMatrix(rows=rows, vocabulary=vocab, csr=csr)
 
 
 def group_sum(

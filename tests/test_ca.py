@@ -26,7 +26,6 @@ from lexevo.textpipe import (
     build_dtm,
     build_vocabulary,
     count_terms,
-    dtm_from_triplets,
 )
 
 # A fixed, comfortably non-degenerate table used throughout.
@@ -564,14 +563,11 @@ def test_aggregate_year_profiles_requires_known_documents():
 
 def test_aggregate_year_profiles_omits_zero_years_with_warning(caplog):
     corpus, dtm = _tiny_corpus_and_dtm()
-    # Build a matrix where d2 (the only 2020 document) has an all-zero row.
-    zero_row = dtm_from_triplets(
-        ("d0", "d1", "d2"),
-        dtm.vocabulary,
-        (["d0", "d0", "d1"], ["aa", "bb", "aa"], [2, 1, 1]),
-    )
+    # A dense input where d2 (the only 2020 document) has an all-zero row.
+    dense = dtm.counts.toarray()
+    dense[dtm.rows.index("d2")] = 0
     with caplog.at_level(logging.WARNING):
-        profiles = aggregate_year_profiles(CaInput.from_counts(zero_row), corpus)
+        profiles = aggregate_year_profiles(CaInput(dense, dtm.rows, dtm.terms), corpus)
     assert [year for year, _ in profiles] == [2019]
     assert any("2020" in rec.message for rec in caplog.records)
 

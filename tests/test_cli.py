@@ -239,6 +239,27 @@ def test_data_error_exits_2(tmp_path, write_mini_config):
     assert main(["stats", "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize("stage", ["ca", "periods"])
+def test_a_matrix_row_with_no_corpus_document_exits_2(
+    tmp_path, write_mini_config, capsys, stage
+):
+    out = tmp_path / "out"
+    config = write_mini_config(out)
+    assert main(["run", "--config", str(config)]) == 0
+    dtm = out / "dtm.tsv"
+    header, *lines = dtm.read_text(encoding="utf-8").splitlines(keepends=True)
+    first = lines[0].split("\t", 1)[0]
+    renamed = [
+        "zz999\t" + line.split("\t", 1)[1] if line.split("\t", 1)[0] == first else line
+        for line in lines
+    ]
+    assert renamed != lines
+    dtm.write_text(header + "".join(renamed), encoding="utf-8")
+    capsys.readouterr()
+    assert main([stage, "--config", str(config)]) == 2
+    assert "matrix row 'zz999' has no corpus document" in capsys.readouterr().err
+
+
 def test_ingest_of_an_invalid_utf8_export_exits_2(tmp_path, write_mini_config, capsys):
     raw = bytearray((Path(pipeline.__file__).parent / "data" / "mini_corpus.csv").read_bytes())
     bad = raw.index(b"e", 3 * len(raw) // 4)  # past the first 8 KiB decode chunk
@@ -361,6 +382,13 @@ def _keep_header_only(path: Path) -> int:
     return 2
 
 
+def _skip_a_year(path: Path) -> int:
+    """Delete the second year's line; the third year is then on line 3."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + lines[3:]), encoding="utf-8")
+    return 3
+
+
 def _non_numeric(column: str):
     """A corruption that writes 'x' into ``column`` on line 2."""
 
@@ -398,6 +426,7 @@ def _non_numeric(column: str):
         ("type_shares.tsv", "figures", _keep_header_only),
         ("ca_coords.tsv", "figures", _keep_header_only),
         ("year_coords.tsv", "figures", _keep_header_only),
+        ("yearly_counts.tsv", "figures", _skip_a_year),
     ],
 )
 def test_malformed_artifact_exits_1_naming_file_and_line(

@@ -210,6 +210,14 @@ def test_characteristic_terms_empty_period_is_an_error():
         characteristic_terms(dtm, assignment, "Future", k=1, period_names=spec.names())
 
 
+def test_characteristic_terms_reject_a_matrix_row_with_no_corpus_document():
+    corpus, dtm, spec = _fixture()
+    assignment = assign_periods(corpus, spec)
+    del assignment[dtm.rows[-1]]
+    with pytest.raises(DataError, match=f"matrix row {dtm.rows[-1]!r} has no corpus document"):
+        characteristic_terms(dtm, assignment, "Early", k=1, period_names=spec.names())
+
+
 # --- pioneer documents -----------------------------------------------------------
 
 

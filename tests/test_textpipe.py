@@ -759,8 +759,7 @@ def test_vocabulary_tsv_round_trip(small_dtm, tmp_path):
 def test_counts_tsv_round_trip(small_dtm, tmp_path):
     path = tmp_path / "dtm.tsv"
     write_counts_tsv(small_dtm.rows, small_dtm.terms, small_dtm.counts, path)
-    rows, triplets = read_counts_tsv(path)
-    rebuilt = dtm_from_triplets(rows, small_dtm.vocabulary, triplets)
+    rebuilt = dtm_from_triplets(small_dtm.vocabulary, read_counts_tsv(path))
     assert rebuilt.rows == small_dtm.rows
     assert (rebuilt.counts != small_dtm.counts).nnz == 0
     assert rebuilt.grand_total == small_dtm.grand_total
@@ -886,10 +885,10 @@ def test_the_dtm_reader_equals_the_scipy_reference(tmp_path_factory, case, rnd):
     path = tmp_path_factory.mktemp("dtm") / "dtm.tsv"
     write_counts_tsv(dtm.rows, dtm.terms, dtm.csr, path)
     _shuffle_within_rows(path, rnd)
-    rows, triplets = read_counts_tsv(path)
-    assert rows == list(dtm.rows)
-    rebuilt = dtm_from_triplets(rows, dtm.vocabulary, triplets, path)
-    expected = oracles.triplets_oracle(rows, dtm.vocabulary.index, triplets, len(dtm.terms))
+    triplets = read_counts_tsv(path)
+    rebuilt = dtm_from_triplets(dtm.vocabulary, triplets, path)
+    assert rebuilt.rows == dtm.rows
+    expected = oracles.triplets_oracle(dtm.rows, dtm.vocabulary.index, triplets, len(dtm.terms))
     _assert_same_csr(rebuilt.csr, expected)
     _assert_same_csr(rebuilt.csr, dtm.counts)
 
@@ -924,7 +923,7 @@ def test_the_scipy_views_share_the_numpy_arrays(small_dtm):
 def test_malformed_triplets_name_their_line(small_dtm):
     doc_ids, terms, counts = ["d0", "d0", "d1", "d0"], ["aa", "bb", "aa", "cc"], [1, 1, 1, 1]
     with pytest.raises(DependencyError, match="dtm.tsv: line 5: row 'd0' resumes"):
-        dtm_from_triplets(small_dtm.rows, small_dtm.vocabulary, (doc_ids, terms, counts))
+        dtm_from_triplets(small_dtm.vocabulary, (doc_ids, terms, counts))
     doc_ids, terms = ["d0", "d0", "d0", "d1"], ["bb", "aa", "bb", "aa"]
     with pytest.raises(DependencyError, match="dtm.tsv: line 4: row 'd0' holds term 'bb'"):
-        dtm_from_triplets(small_dtm.rows, small_dtm.vocabulary, (doc_ids, terms, counts))
+        dtm_from_triplets(small_dtm.vocabulary, (doc_ids, terms, counts))
