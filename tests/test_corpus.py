@@ -278,6 +278,14 @@ _INVALID_UTF8 = {
 }
 
 
+@pytest.mark.parametrize(("source", "offset"), _INVALID_UTF8.values(), ids=_INVALID_UTF8)
+def test_invalid_utf8_is_an_encoding_error_at_its_offset_in_the_file(source, offset):
+    with pytest.raises(UnicodeDecodeError):
+        source.decode("utf-8-sig")
+    with pytest.raises(EncodingError, match=f"not valid UTF-8 at byte {offset} "):
+        _load(source)
+
+
 @pytest.fixture()
 def opened_files(monkeypatch):
     """Every file that ``corpus`` opens, so a test can check it was closed."""
@@ -295,8 +303,6 @@ def opened_files(monkeypatch):
 def test_invalid_utf8_in_a_file_is_named_by_its_path_at_its_offset(
     source, offset, tmp_path, opened_files
 ):
-    with pytest.raises(UnicodeDecodeError):
-        source.decode("utf-8-sig")
     path = tmp_path / "export.csv"
     path.write_bytes(source)
     message = f"^{re.escape(str(path))} is not valid UTF-8 at byte {offset} "
@@ -354,16 +360,23 @@ def _traced_load(path: Path) -> tuple[Corpus, int, int]:
         tracemalloc.stop()
 
 
-def test_loading_a_file_holds_little_beyond_the_corpus_it_returns(tmp_path):
-    # The file is read a chunk at a time as it is parsed: the first load,
-    # set-up included, peaks below twice the file, and what a later load
-    # holds at its peak beyond the corpus is a small part of the file.
+def test_parse_peak_memory_stays_below_twice_the_export(tmp_path):
+    # A load, first-call set-up included, peaks below twice the file.
     path = tmp_path / "export.csv"
     path.write_bytes(_large_export())
     size = path.stat().st_size
     corpus, _, peak = _traced_load(path)
     assert len(corpus) == 1700
     assert peak < 2 * size, (peak, size)
+
+
+def test_loading_a_file_holds_little_beyond_the_corpus_it_returns(tmp_path):
+    # The file is read a chunk at a time as it is parsed: what a load holds
+    # at its peak beyond the corpus is a small part of the file.
+    path = tmp_path / "export.csv"
+    path.write_bytes(_large_export())
+    size = path.stat().st_size
+    load_corpus_csv(path, CANONICAL_SCHEMA)  # first-call set-up is not the load's memory
     corpus, retained, peak = _traced_load(path)
     assert len(corpus) == 1700
     assert peak - retained < size / 4, (peak - retained, size)
